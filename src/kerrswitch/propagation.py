@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .core import C_LIGHT, FiberSpec, PulseEnvelope, TimeGrid, energy
 from .errors import GridMismatch, ValidationError, ZeroEnergy
@@ -38,6 +40,8 @@ class XpmKernel:
     time ``offsets[j] + delay`` for a pump launched with delay ``delay``; the
     profile for any delay is this curve shifted rigidly, because the walk-off
     advection enters only through the difference of the two time axes.
+    ``offsets`` is the grid's time axis, one read-only array shared by every
+    kernel on that grid.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -64,6 +68,53 @@ def _linear_factor(omega: np.ndarray, beta2: float, beta3: float, alpha: float, 
     return np.exp(exponent)
 
 
+@lru_cache(maxsize=8)
+def _grid_axis(grid: TimeGrid) -> np.ndarray:
+    """``grid.times`` as one read-only array shared by every kernel on `grid`."""
+    times = grid.times
+    times.flags.writeable = False
+    return times
+
+
+def _add_shifted(acc: np.ndarray, values: np.ndarray, shift: float, work: np.ndarray) -> None:
+    """Add `values` delayed by `shift` samples to `acc`, zero-filled.
+
+    Equals ``acc += np.interp(k - shift, k, values, left=0, right=0)`` on the
+    sample index k: one integer offset plus a two-tap linear blend. Output
+    samples whose source index falls outside the window get nothing, so a
+    shift never wraps around. `work` is scratch of at least ``values.size``.
+    """
+    n = values.size
+    whole = math.floor(shift)
+    frac = shift - whole
+    if frac == 0.0:
+        lo, hi = max(whole, 0), min(whole + n, n)
+        if lo < hi:
+            acc[lo:hi] += values[lo - whole : hi - whole]
+        return
+    # Sample j lies between source taps j - whole - 1 (weight frac) and
+    # j - whole (weight 1 - frac); both must be inside the window.
+    lo, hi = max(whole + 1, 0), min(whole + n, n)
+    if lo >= hi:
+        return
+    near = values[lo - whole : hi - whole]
+    blend = work[: hi - lo]
+    np.subtract(values[lo - whole - 1 : hi - whole - 1], near, out=blend)
+    blend *= frac
+    blend += near
+    acc[lo:hi] += blend
+
+
+def _norm2(x: np.ndarray) -> float:
+    """sum(|x|^2) of a complex array.
+
+    einsum, not np.vdot: OpenBLAS runs a dot product this long on threads
+    that spin while they wait, which contend with the sweep's row threads.
+    """
+    flat = x.view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def compute_xpm_kernel(
     pump: PulseEnvelope,
     fiber: FiberSpec,
@@ -73,40 +124,61 @@ def compute_xpm_kernel(
     """Propagate the pump alone and integrate the swept differential phase.
 
     Uses the symmetric split-step scheme (half dispersion / nonlinear / half
-    dispersion) on `steps` uniform z-slices. The phase kernel is sampled at
-    the slice midpoints with the walk-off shift applied outside the periodic
-    FFT box (zero beyond the window), so large delays cannot wrap around.
+    dispersion) on `steps` uniform z-slices. The half-dispersion steps that
+    meet between two slices are applied back to back in the frequency domain,
+    so each slice costs one FFT pair. The phase kernel is sampled at the slice
+    midpoints with the walk-off shift applied outside the periodic FFT box
+    (zero beyond the window), so large delays cannot wrap around.
+    ``per_step_energy`` holds the pump energy at launch and after each of
+    the `steps` slices.
     """
     if steps < 8:
         raise ValidationError("steps must be >= 8")
     grid = pump.grid
-    t = grid.times
-    omega = grid.omega
+    n = grid.n_samples
     dz = fiber.length / steps
     gamma_pump = nonlinear_coefficient(fiber.n2, pump.center_wavelength, fiber.a_eff)
     xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
-    half = _linear_factor(omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz)
+    half = _linear_factor(grid.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz)
+    full = half * half
+    # |half|^2 is this uniform factor: only loss changes the energy.
+    half_loss = math.exp(-0.5 * fiber.alpha * dz)
+
+    # Work buffers, reused by every slice; the FFTs run in place on `a`.
+    intensity = np.empty(n)
+    work = np.empty(n)
+    rotation = np.empty(n, dtype=np.complex128)
+    phase = np.zeros(n)
+    step_energy = np.empty(steps + 1)
 
     a = pump.samples.copy()
-    phase = np.zeros(grid.n_samples)
-    step_energy = np.empty(steps + 1)
-    step_energy[0] = np.vdot(a, a).real * grid.dt
+    step_energy[0] = _norm2(a) * grid.dt
+    a = scipy.fft.fft(a, overwrite_x=True)
+    a *= half
     for k in range(steps):
-        a = np.fft.ifft(np.fft.fft(a) * half)
-        intensity = np.abs(a) ** 2
-        a *= np.exp(1j * gamma_pump * dz * intensity)
+        a = scipy.fft.ifft(a, overwrite_x=True)
+        np.abs(a, out=intensity)
+        intensity *= intensity
+        np.multiply(intensity, gamma_pump * dz, out=work)
+        np.cos(work, out=rotation.real)
+        np.sin(work, out=rotation.imag)
+        a *= rotation
         # Pump offset at the slice midpoint, in the signal frame, for delay 0.
         shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length)
-        phase += np.interp(t - shift, t, intensity, left=0.0, right=0.0)
-        a = np.fft.ifft(np.fft.fft(a) * half)
-        step_energy[k + 1] = np.vdot(a, a).real * grid.dt
+        _add_shifted(phase, intensity, shift / grid.dt, work)
+        a = scipy.fft.fft(a, overwrite_x=True)
+        # Energy at the end of this slice (Parseval, then the closing half
+        # step's loss); that half step merges with the next slice's opening one.
+        step_energy[k + 1] = _norm2(a) * half_loss * grid.dt / n
+        a *= full if k + 1 < steps else half
+    a = scipy.fft.ifft(a, overwrite_x=True)
     phase *= xpm_coef * dz
 
     pump_final = PulseEnvelope(grid=grid, center_wavelength=pump.center_wavelength, samples=a)
     return XpmKernel(
-        offsets=t,
+        offsets=_grid_axis(grid),
         phase_vs_offset=phase,
         pump_final=pump_final,
         per_step_energy=step_energy,

@@ -21,7 +21,14 @@ from .config_io import config_hash, emit_config
 from .core import ExperimentConfig, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, ValidationError
 from .photons import binomial_split, monte_carlo_experiment
-from .propagation import clip_spectrum_support, propagate, pump_spectrum
+# `propagate` is no longer called here; perfbench's tracer wraps it under
+# this module's name, so the binding stays.
+from .propagation import (
+    clip_spectrum_support,
+    propagate,
+    propagate_signal_linear,
+    pump_spectrum,
+)
 from .switch import (
     calibrate_pi_energy,
     check_convergence,
@@ -300,10 +307,10 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     run.write_csv("pump_spectra.csv", ["energy_nJ", "wavelength_nm", "density_per_nm"], spectra_rows)
     run.write_csv("spectrum_metrics.csv", ["energy_nJ", "fwhm_nm"], metric_rows)
 
-    # Switched port: signal co-propagated with the pump at the operating
-    # energy. Unswitched reference: pump blocked. XPM imprints phase between
-    # the polarization components, not amplitude on the scalar envelope, so
-    # the two histograms agree to numerical precision.
+    # Switched versus unswitched port. XPM imprints phase between the
+    # polarization components, not amplitude on the scalar envelope, and the
+    # signal's own propagation never sees the pump, so both ports carry the
+    # same histogram: the signal after the fiber's dispersion and loss.
     tof = TofSpec(
         dispersion=config.tof.dispersion,
         reference_wavelength=config.tof.reference_wavelength,
@@ -315,23 +322,17 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
         config.signal.fwhm_duration,
         1.0e-18,
     )
-    tof_rows = []
-    for port, pump_energy in (("switched", config.pump.energy), ("unswitched", 0.0)):
-        pump_in = make_gaussian_pulse(
-            config.grid,
-            config.pump.center_wavelength,
-            config.pump.fwhm_duration,
-            pump_energy,
-        )
-        result = propagate(pump_in, signal_in, config.fiber, 0.0, config.solver.steps)
-        wl_nm, density = clip_spectrum_support(*pump_spectrum(result.signal_out))
-        span = abs(tof.dispersion) * (wl_nm[-1] - wl_nm[0]) * 1e-9
-        centers, hist = spectrum_to_histogram(
-            tof, wl_nm * 1e-9, density * 1e9, bin_width=span / 1024.0
-        )
-        tof_rows.extend(
-            [port, centers[i] / _PS, hist[i] * _PS] for i in range(centers.size)
-        )
+    signal_out = propagate_signal_linear(signal_in, config.fiber)
+    wl_nm, density = clip_spectrum_support(*pump_spectrum(signal_out))
+    span = abs(tof.dispersion) * (wl_nm[-1] - wl_nm[0]) * 1e-9
+    centers, hist = spectrum_to_histogram(
+        tof, wl_nm * 1e-9, density * 1e9, bin_width=span / 1024.0
+    )
+    tof_rows = [
+        [port, centers[i] / _PS, hist[i] * _PS]
+        for port in ("switched", "unswitched")
+        for i in range(centers.size)
+    ]
     run.write_csv("signal_tof.csv", ["port", "time_ps", "density_per_ps"], tof_rows)
     return run.finish()
 

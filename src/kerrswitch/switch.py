@@ -4,7 +4,7 @@ pump-energy calibration, delay sweeps, and temporal-resolution metrics."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -145,34 +145,26 @@ def efficiency_vs_delay(
     return out
 
 
-def _sweep_row(config: ExperimentConfig, pump_energy: float, steps: int | None):
-    return efficiency_vs_delay(
-        config, pump_energy, np.asarray(config.sweep.delays), steps=steps
-    )
-
-
-def _sweep_row_star(args) -> np.ndarray:
-    return _sweep_row(*args)
-
-
 def sweep_surface(
     config: ExperimentConfig, workers: int = 1, steps: int | None = None
 ) -> SweepSurface:
     """Efficiency over the configured (energy, delay) grid.
 
-    Rows (fixed energy) are independent, so they may be fanned out to a
-    process pool; each row is computed by the identical serial code path and
-    rows are assembled in axis order, making the result bitwise independent of
-    the worker count.
+    Rows (fixed energy) are independent, so they run on up to `workers`
+    threads in this process; the FFTs and array operations of the pump kernel
+    release the interpreter lock, so rows overlap. Every kernel lands in this
+    process's kernel cache, where calibration and the slices find it. Each
+    row is computed by the identical serial code path and rows are assembled
+    in axis order, making the result bitwise independent of the worker count.
     """
     energies = np.asarray(config.sweep.energies, dtype=float)
     delays = np.asarray(config.sweep.delays, dtype=float)
-    args = [(config, float(e), steps) for e in energies]
-    if workers <= 1 or len(energies) == 1:
-        rows = [_sweep_row_star(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row_star, args))
+
+    def row(pump_energy: float) -> np.ndarray:
+        return efficiency_vs_delay(config, float(pump_energy), delays, steps=steps)
+
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        rows = list(pool.map(row, energies))
     return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
 
 

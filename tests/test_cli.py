@@ -3,6 +3,7 @@ byte determinism."""
 
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -83,6 +84,41 @@ class TestCmdSweep:
         ks.cmd_sweep(small_cfg, tmp_path / "b", workers=2)
         for name in ("surface.csv", "slices.csv", "metrics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
+    """Sweep rows, calibration, slices and the convergence check share one
+    kernel cache: no (energy, steps) pump kernel is computed twice. The
+    counter lives in shared memory, so calls made in forked workers count."""
+    doc = dict(SMALL_DOC, sweep={
+        "energies_nj": [float(e) for e in range(17)],
+        "delays_ps": [round(-4.0 + 0.5 * i, 10) for i in range(17)],
+    })
+    cfg = ks.parse_config(json.dumps(doc))
+    capacity = 256
+    calls = multiprocessing.Value("i", 0)
+    keys = multiprocessing.Array("d", 2 * capacity)
+    compute = ks.switch.compute_xpm_kernel
+
+    def counting(pump, fiber, steps, signal_wavelength):
+        with calls.get_lock():
+            i = calls.value
+            calls.value += 1
+        if i < capacity:
+            keys[2 * i] = ks.energy(pump)
+            keys[2 * i + 1] = steps
+        return compute(pump, fiber, steps, signal_wavelength)
+
+    monkeypatch.setattr(ks.switch, "compute_xpm_kernel", counting)
+    ks.switch._cached_kernel.cache_clear()
+    try:
+        ks.cmd_sweep(cfg, tmp_path, workers=2)
+    finally:
+        ks.switch._cached_kernel.cache_clear()
+    count = calls.value
+    assert 0 < count <= capacity
+    distinct = {(keys[2 * i], keys[2 * i + 1]) for i in range(count)}
+    assert count == len(distinct)
 
 
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):

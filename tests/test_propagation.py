@@ -229,3 +229,96 @@ class TestPumpSpectrum:
             wl, dens = ks.pump_output_spectrum(default_cfg, e_nj * 1e-9)
             fwhms.append(ks.full_width(wl, dens, 0.5))
         assert all(a <= b + 1e-12 for a, b in zip(fwhms, fwhms[1:]))
+
+
+class TestShiftedAccumulate:
+    """The kernel's walk-off resample against np.interp on the sample index.
+
+    Shifts are dyadic fractions, so index - shift is exact and both sides
+    blend with the same weights; only the final roundings differ.
+    """
+
+    N = 64
+
+    @pytest.mark.parametrize(
+        "shift",
+        [0.25, -2.75, 10.5, 0.0078125, 3.0, -7.0, 0.0, 62.5, -63.25, 63.0, -63.0,
+         64.0, -64.0, 64.5, -64.5, 1000.25, -1000.0],
+    )
+    def test_equals_interp_zero_filled(self, shift):
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.5, 2.0, self.N)  # nonzero up to both edges
+        index = np.arange(self.N, dtype=float)
+        expected = np.interp(index - shift, index, values, left=0.0, right=0.0)
+        acc = np.zeros(self.N)
+        ks.propagation._add_shifted(acc, values, shift, np.empty(self.N))
+        assert np.abs(acc - expected).max() <= 1e-15 * np.abs(values).max()
+
+    def test_accumulates(self):
+        values = np.linspace(1.0, 2.0, self.N)
+        acc = np.full(self.N, 5.0)
+        ks.propagation._add_shifted(acc, values, 0.5, np.empty(self.N))
+        index = np.arange(self.N, dtype=float)
+        expected = 5.0 + np.interp(index - 0.5, index, values, left=0.0, right=0.0)
+        assert np.abs(acc - expected).max() <= 1e-15 * 7.0
+
+
+def reference_xpm_kernel(pump, f, steps, signal_wavelength):
+    """Plain symmetric SSFM: two half-dispersion FFT pairs per slice and an
+    np.interp walk-off resample, as compute_xpm_kernel was first written."""
+    g = pump.grid
+    t = g.times
+    dz = f.length / steps
+    gamma_pump = ks.nonlinear_coefficient(f.n2, pump.center_wavelength, f.a_eff)
+    xpm_coef = ks.propagation.XPM_DIFFERENTIAL_FACTOR * ks.nonlinear_coefficient(
+        f.n2, signal_wavelength, f.a_eff
+    )
+    w = g.omega
+    half = np.exp(
+        (0.5j * f.beta2_pump * w**2 - 1j * f.beta3_pump * w**3 / 6.0 - 0.5 * f.alpha) * 0.5 * dz
+    )
+    a = pump.samples.copy()
+    phase = np.zeros(g.n_samples)
+    step_energy = np.empty(steps + 1)
+    step_energy[0] = np.vdot(a, a).real * g.dt
+    for k in range(steps):
+        a = np.fft.ifft(np.fft.fft(a) * half)
+        intensity = np.abs(a) ** 2
+        a *= np.exp(1j * gamma_pump * dz * intensity)
+        shift = f.walkoff * ((k + 0.5) * dz - 0.5 * f.length)
+        phase += np.interp(t - shift, t, intensity, left=0.0, right=0.0)
+        a = np.fft.ifft(np.fft.fft(a) * half)
+        step_energy[k + 1] = np.vdot(a, a).real * g.dt
+    return phase * xpm_coef * dz, a, step_energy
+
+
+@pytest.mark.parametrize("walkoff", [8.333e-12, -5.1e-12])
+def test_kernel_matches_reference_ssfm(walkoff):
+    g = ks.TimeGrid(n_samples=1024, window=20e-12)
+    f = fiber(
+        beta2_pump=24e-27,
+        beta3_pump=2e-40,
+        walkoff=walkoff,
+        n2=2.6e-20,
+        alpha=0.5 / 0.24,
+    )
+    pump = ks.make_gaussian_pulse(g, PUMP_WL, 180e-15, 8e-9)
+    steps = 32
+    kernel = ks.compute_xpm_kernel(pump, f, steps, SIG_WL)
+    phase, final, step_energy = reference_xpm_kernel(pump, f, steps, SIG_WL)
+
+    assert phase.max() > 1.0
+    assert np.array_equal(kernel.offsets, g.times)
+    assert np.abs(kernel.phase_vs_offset - phase).max() <= 1e-12 * np.abs(phase).max()
+    assert np.abs(kernel.pump_final.samples - final).max() <= 1e-12 * np.abs(final).max()
+    assert kernel.per_step_energy.shape == (steps + 1,)
+    assert np.abs(kernel.per_step_energy - step_energy).max() <= 1e-12 * step_energy.max()
+
+
+def test_kernels_share_one_read_only_time_axis():
+    pump, _ = pulses()
+    f = fiber(n2=2.6e-20)
+    k1 = ks.compute_xpm_kernel(pump, f, 16, SIG_WL)
+    k2 = ks.compute_xpm_kernel(pump, f, 32, SIG_WL)
+    assert k1.offsets is k2.offsets
+    assert not k1.offsets.flags.writeable
