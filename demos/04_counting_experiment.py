@@ -1,7 +1,7 @@
 """Emulating the counting experiment: heralds, loss, noise, coincidences.
 
-Runs the pulse-by-pulse Monte Carlo at the low mean-photon-number operating
-point, recovers the switching efficiency from coincidence ratios, compares
+Runs the Monte Carlo (one multinomial draw per delay over the exact outcome
+probabilities of a pulse) at the low mean-photon-number operating point, recovers the switching efficiency from coincidence ratios, compares
 empirical split distributions against the exact binomial law at high mean
 photon number, and closes with the signal-to-noise bookkeeping.
 """

@@ -60,7 +60,6 @@ from .photons import (
     binomial_split,
     eta_exp,
     monte_carlo_experiment,
-    sample_pair_counts,
     snr,
     split_vs_delay,
     thermal_joint_source,
@@ -121,7 +120,6 @@ __all__ = [
     "propagate",
     "pump_output_spectrum",
     "pump_spectrum",
-    "sample_pair_counts",
     "snr",
     "spectrum_to_histogram",
     "split_vs_delay",

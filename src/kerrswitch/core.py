@@ -266,9 +266,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TofConfig:
+    """Time-of-flight spectrometer: group delay `dispersion` (s per m of
+    wavelength) about `reference_wavelength`, plus Gaussian detector jitter."""
+
     dispersion: float
     reference_wavelength: float
-    jitter_fwhm: float
+    jitter_fwhm: float = 0.0
 
     def __post_init__(self):
         if self.dispersion == 0.0:

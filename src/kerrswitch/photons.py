@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from .core import ExperimentConfig
 from .errors import CutoffTooSmall, NoCoincidences, ValidationError, ZeroNoise
 
-_MC_BLOCK = 1 << 17  # pulses per RNG block; fixed so results ignore worker count
+_NOISE_TAIL = 1e-13  # largest Poisson tail mass the noise grid may drop
 
 
 @dataclass(frozen=True)
@@ -203,13 +202,6 @@ def snr(heralded_prob: float, noise_per_pulse: float) -> float:
     return heralded_prob / noise_per_pulse
 
 
-def sample_pair_counts(mean_n: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw photon-pair numbers from the thermal source distribution."""
-    if mean_n == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.geometric(1.0 / (1.0 + mean_n), size=size) - 1
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Counting-experiment emulation over the configured delay axis.
@@ -235,38 +227,71 @@ class MonteCarloResult:
         return p, stderr, total
 
 
-def _mc_block(config: ExperimentConfig, eta: float, delay_index: int,
-              block_index: int, size: int, seed: int, n_max: int):
-    """One fixed-size block of pulses on its own counter-based RNG stream."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(delay_index, block_index)))
-    )
+def _poisson_pmf(mean: float, counts: np.ndarray) -> np.ndarray:
+    """Poisson probabilities of the non-negative integers `counts`."""
+    if mean == 0.0:
+        return (counts == 0).astype(float)
+    log_factorial = np.array([math.lgamma(c + 1.0) for c in counts])
+    return np.exp(counts * math.log(mean) - mean - log_factorial)
+
+
+def _noise_totals(mean: float) -> np.ndarray:
+    """Poisson pmf of the total noise count over 0..T, where T is the smallest
+    count whose upper tail P(count > T) is at most _NOISE_TAIL."""
+    far = int(math.ceil(mean + 40.0 * math.sqrt(mean))) + 40
+    pmf = _poisson_pmf(mean, np.arange(far + 1))
+    at_least = np.cumsum(pmf[::-1])[::-1]  # at_least[t] = P(count >= t)
+    top = int(np.argmax(at_least[1:] <= _NOISE_TAIL))
+    assert at_least[top + 1] <= _NOISE_TAIL, "noise grid drops more than its tail bound"
+    return pmf[: top + 1]
+
+
+def _outcome_cells(config: ExperimentConfig, n_max: int, etas):
+    """Outcome cells of one pulse and their probabilities at each efficiency.
+
+    Returns (n, a, b, k, probs). Counted cell i has n[i] heralds, a[i]
+    switched and b[i] unswitched noise counts, and n[i] signal detections of
+    which k[i] in the switched port: n[i] - a[i] - b[i] photons reached the
+    switch and k[i] - a[i] of them were switched. In each row probs[e] the
+    counted cells are followed by one "other" cell per total noise count
+    t = 0..T, which holds every remaining outcome with t noise counts.
+    """
     det = config.detectors
-    pairs = sample_pair_counts(config.source.mean_photon_number, size, rng)
-    heralds = rng.binomial(pairs, det.herald_efficiency)
-    survivors = rng.binomial(pairs, det.system_transmittance)
-    switched = rng.binomial(survivors, eta)
-    mult = det.noise_window_multiplier
-    noise_s = rng.poisson(det.noise_per_pulse_switched * mult, size)
-    noise_u = rng.poisson(det.noise_per_pulse_unswitched * mult, size)
-    s_tot = switched + noise_s
-    u_tot = (survivors - switched) + noise_u
+    mean_s = det.noise_per_pulse_switched * det.noise_window_multiplier
+    mean_u = det.noise_per_pulse_unswitched * det.noise_window_multiplier
 
-    # One-photon coincidence filter: a single herald and a single detection
-    # across both signal ports, mirroring the tight correlation-window cut.
-    one = heralds == 1
-    n_si = int(np.count_nonzero(one & (s_tot == 1) & (u_tot == 0)))
-    n_ui = int(np.count_nonzero(one & (u_tot == 1) & (s_tot == 0)))
+    # P(h heralds, s photons at the switch) for h, s <= n_max; numbers past
+    # the source cutoff have probability 0.
+    source = thermal_joint_source(config.source.mean_photon_number, config.source.max_photon_cutoff)
+    lossy = apply_loss(source, det.herald_efficiency, det.system_transmittance).probs
+    joint = np.zeros((n_max + 1, n_max + 1))
+    m = min(n_max, lossy.shape[0] - 1)
+    joint[: m + 1, : m + 1] = lossy[: m + 1, : m + 1]
 
-    split = {}
-    for n in range(1, n_max + 1):
-        mask = (heralds == n) & (s_tot + u_tot == n)
-        split[n] = np.bincount(s_tot[mask], minlength=n + 1).astype(np.int64)
-    return n_si, n_ui, int(noise_s.sum()), int(noise_u.sum()), split
-
-
-def _mc_block_star(args):
-    return _mc_block(*args)
+    totals = _noise_totals(mean_s + mean_u)
+    top = totals.size - 1
+    n, a, b, k = np.array(
+        [
+            (h, ns, nu, ks)
+            for h in range(1, n_max + 1)
+            for ns in range(min(h, top) + 1)
+            for nu in range(min(h - ns, top - ns) + 1)
+            for ks in range(ns, h - nu + 1)
+        ]
+    ).T
+    # Routing sums to 1 over k, so the counted mass with t noise counts is
+    # P(t) * sum over n of P(n heralds, n - t photons).
+    counted = np.zeros(top + 1)
+    for t in range(min(top, n_max) + 1):
+        counted[t] = sum(joint[h, h - t] for h in range(max(t, 1), n_max + 1))
+    routing = np.zeros((len(etas), n_max + 1, n_max + 1))
+    for e, eta in enumerate(etas):
+        for s in range(n_max + 1):
+            routing[e, s, : s + 1] = binomial_split(s, eta).probs
+    weight = joint[n, n - a - b] * _poisson_pmf(mean_s, a) * _poisson_pmf(mean_u, b)
+    other = np.broadcast_to(totals * (1.0 - counted), (len(etas), top + 1))
+    probs = np.hstack((weight * routing[:, n - a - b, k - a], other)) / totals.sum()
+    return n, a, b, k, probs
 
 
 def monte_carlo_experiment(
@@ -277,57 +302,48 @@ def monte_carlo_experiment(
     n_max: int = 6,
     workers: int = 1,
 ) -> MonteCarloResult:
-    """Emulate the photon-counting experiment pulse by pulse.
+    """Emulate the photon-counting experiment along the configured delays.
 
-    Per pulse: draw a pair number from the thermal source, thin each arm by
-    its transmittance, route every surviving signal photon independently with
-    probability eta(delay), and add Poisson noise counts per detection window.
-    Pulses are partitioned into fixed-size blocks, each on a counter-based
-    stream derived from (seed, delay index, block index), so the merged result
-    is bit-identical for any worker count.
+    The pulse model: a pair number from the thermal source (truncated at
+    `source.max_photon_cutoff`), each arm thinned by its transmittance, every
+    surviving signal photon routed to the switched port with probability
+    eta(delay), and Poisson noise counts added per detection window. Only
+    counts are kept, so each delay is one multinomial draw of `pulses` over
+    the exact outcome probabilities of one pulse (`_outcome_cells`), and the
+    cost does not grow with `pulses`. The noise counts are part of each cell,
+    so the noise totals stay correlated with the coincidences; the noise of
+    uncounted pulses splits between the ports binomially. Each delay draws
+    from its own Philox stream keyed by (seed, delay index). `workers` is
+    accepted for callers that pass it and changes nothing.
     """
     if pulses < 1:
         raise ValidationError("pulses must be >= 1")
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
     delays = np.asarray(config.sweep.delays, dtype=float)
     etas = [float(eta_of_delay(float(tau))) for tau in delays]
+    n, a, b, k, probs = _outcome_cells(config, n_max, etas)
+    det = config.detectors
+    mean_noise = det.noise_per_pulse_switched + det.noise_per_pulse_unswitched
+    share = det.noise_per_pulse_switched / mean_noise if mean_noise > 0.0 else 0.0
 
-    tasks = []
-    for d, eta in enumerate(etas):
-        remaining = pulses
-        block = 0
-        while remaining > 0:
-            size = min(_MC_BLOCK, remaining)
-            tasks.append((config, eta, d, block, size, seed, n_max))
-            remaining -= size
-            block += 1
-
-    if workers <= 1 or len(tasks) == 1:
-        outputs = [_mc_block_star(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_mc_block_star, tasks))
-
-    n_si = np.zeros(delays.size, dtype=np.int64)
-    n_ui = np.zeros(delays.size, dtype=np.int64)
-    noise_s = np.zeros(delays.size, dtype=np.int64)
-    noise_u = np.zeros(delays.size, dtype=np.int64)
-    split_events = {n: np.zeros((delays.size, n + 1), dtype=np.int64) for n in range(1, n_max + 1)}
-    for (_, _, d, *_rest), out in zip(tasks, outputs):
-        n_si[d] += out[0]
-        n_ui[d] += out[1]
-        noise_s[d] += out[2]
-        noise_u[d] += out[3]
-        for n, counts in out[4].items():
-            split_events[n][d] += counts
-
-    records = tuple(
-        CountRecord(
-            n_si=int(n_si[d]),
-            n_ui=int(n_ui[d]),
-            pulses=pulses,
-            noise_s=int(noise_s[d]),
-            noise_u=int(noise_u[d]),
+    events = np.zeros((delays.size, n_max + 1, n_max + 1), dtype=np.int64)
+    records = []
+    for d, p in enumerate(probs):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,))))
+        draw = rng.multinomial(pulses, p)
+        hits, rest = draw[: n.size], draw[n.size :]
+        np.add.at(events[d], (n, k), hits)
+        other_noise = int(rest @ np.arange(rest.size))
+        other_s = int(rng.binomial(other_noise, share))
+        records.append(
+            CountRecord(
+                n_si=int(events[d, 1, 1]),
+                n_ui=int(events[d, 1, 0]),
+                pulses=pulses,
+                noise_s=int(hits @ a) + other_s,
+                noise_u=int(hits @ b) + other_noise - other_s,
+            )
         )
-        for d in range(delays.size)
-    )
-    return MonteCarloResult(delays=delays, records=records, split_events=split_events)
+    split_events = {h: events[:, h, : h + 1].copy() for h in range(1, n_max + 1)}
+    return MonteCarloResult(delays=delays, records=tuple(records), split_events=split_events)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .switch import (
     sweep_surface,
     temporal_resolution,
 )
-from .tof import TofSpec, spectrum_to_histogram
+from .tof import spectrum_to_histogram
 
 _PS = 1e-12
 _FS = 1e-15
@@ -117,17 +117,7 @@ class _Run:
             finished_at=_now(),
             outputs=tuple(self.entries),
         )
-        payload = {
-            "config_hash": manifest.config_hash,
-            "tool_version": manifest.tool_version,
-            "started_at": manifest.started_at,
-            "finished_at": manifest.finished_at,
-            "outputs": [
-                {"name": e.name, "path": e.path, "rows": e.rows, "bytes": e.bytes}
-                for e in manifest.outputs
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
         (self.out_dir / "manifest.json").write_text(text)
         (self.out_dir / "config.json").write_text(emit_config(self.config))
         return manifest
@@ -216,7 +206,8 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6, workers: int = 1
     """Exact and Monte Carlo port-split curves for heralded N-photon states.
 
     Writes fock_probs.csv (exact rows carry stderr 0; Monte Carlo rows carry
-    binomial standard errors), fock_probs.json, and manifest.json.
+    binomial standard errors), fock_probs.json, and manifest.json. `workers`
+    is accepted for callers that pass it; the Monte Carlo needs no pool.
     """
     if not (1 <= n_max <= 10):
         raise ValidationError("n_max must lie in 1..10")
@@ -230,7 +221,6 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6, workers: int = 1
         pulses=config.monte_carlo.pulses_per_delay,
         seed=config.rng_seed,
         n_max=n_max,
-        workers=workers,
     )
 
     rows = []
@@ -311,11 +301,6 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     # polarization components, not amplitude on the scalar envelope, and the
     # signal's own propagation never sees the pump, so both ports carry the
     # same histogram: the signal after the fiber's dispersion and loss.
-    tof = TofSpec(
-        dispersion=config.tof.dispersion,
-        reference_wavelength=config.tof.reference_wavelength,
-        jitter_fwhm=config.tof.jitter_fwhm,
-    )
     signal_in = make_gaussian_pulse(
         config.grid,
         config.signal.center_wavelength,
@@ -324,9 +309,9 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     )
     signal_out = propagate_signal_linear(signal_in, config.fiber)
     wl_nm, density = clip_spectrum_support(*pump_spectrum(signal_out))
-    span = abs(tof.dispersion) * (wl_nm[-1] - wl_nm[0]) * 1e-9
+    span = abs(config.tof.dispersion) * (wl_nm[-1] - wl_nm[0]) * 1e-9
     centers, hist = spectrum_to_histogram(
-        tof, wl_nm * 1e-9, density * 1e9, bin_width=span / 1024.0
+        config.tof, wl_nm * 1e-9, density * 1e9, bin_width=span / 1024.0
     )
     tof_rows = [
         [port, centers[i] / _PS, hist[i] * _PS]

@@ -40,7 +40,6 @@ class SwitchResult:
     delay: float
     pump_energy: float
     xpm_phase: np.ndarray = field(repr=False)
-    pump_spectrum_out: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,11 @@ def efficiency_from_phase(
 
     Each temporal slice of the signal undergoes its own polarization rotation;
     the port split is the intensity-weighted average of the pointwise
-    closed-form efficiency.
+    closed-form efficiency. The weighted sum is an einsum, not np.dot, which
+    would hand it to OpenBLAS threads that spin against the sweep's row threads.
     """
     total = signal_weights.sum()
-    rotated = float(np.dot(signal_weights, np.sin(0.5 * xpm_phase) ** 2) / total)
+    rotated = float(np.einsum("i,i->", signal_weights, np.sin(0.5 * xpm_phase) ** 2) / total)
     return math.sin(2.0 * theta) ** 2 * rotated
 
 
@@ -101,7 +101,6 @@ def numeric_efficiency(
     pump_energy: float,
     delay: float,
     steps: int | None = None,
-    include_pump_spectrum: bool = False,
 ) -> SwitchResult:
     """Simulation-driven switching efficiency at one (energy, delay) point."""
     if pump_energy < 0.0:
@@ -110,19 +109,11 @@ def numeric_efficiency(
     weights = _cached_signal_weights(config)
     if pump_energy == 0.0:
         phase = np.zeros(config.grid.n_samples)
-        spectrum = None
     else:
         kernel = _cached_kernel(config, pump_energy, steps)
         phase = sample_xpm_phase(kernel, config.grid, delay)
-        spectrum = pump_spectrum(kernel.pump_final) if include_pump_spectrum else None
     eta = efficiency_from_phase(weights, phase, config.geometry.theta)
-    return SwitchResult(
-        eta=eta,
-        delay=delay,
-        pump_energy=pump_energy,
-        xpm_phase=phase,
-        pump_spectrum_out=spectrum,
-    )
+    return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy, xpm_phase=phase)
 
 
 def efficiency_vs_delay(

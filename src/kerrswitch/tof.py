@@ -4,40 +4,27 @@ wavelength linearly to arrival time, followed by detector jitter."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .core import TofConfig
 from .errors import DegenerateBins, ValidationError
 
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
-@dataclass(frozen=True)
-class TofSpec:
-    """Dispersive fiber stage: group delay `dispersion` (s per m of
-    wavelength) about `reference_wavelength`, plus Gaussian detector jitter."""
-
-    dispersion: float
-    reference_wavelength: float
-    jitter_fwhm: float = 0.0
-
-    def __post_init__(self):
-        if self.dispersion == 0.0:
-            raise ValidationError("tof.dispersion must be non-zero")
-        if not (self.reference_wavelength > 0.0):
-            raise ValidationError("tof.reference_wavelength must be positive")
-        if self.jitter_fwhm < 0.0:
-            raise ValidationError("tof.jitter_fwhm must be non-negative")
+# The spectrometer parameters are the config's own type; `TofSpec` is its
+# historical name.
+TofSpec = TofConfig
 
 
-def arrival_time(spec: TofSpec, wavelength: float) -> float:
+def arrival_time(spec: TofConfig, wavelength: float) -> float:
     """Arrival time t = D * (wavelength - reference), first order only."""
     return spec.dispersion * (wavelength - spec.reference_wavelength)
 
 
 def spectrum_to_histogram(
-    spec: TofSpec,
+    spec: TofConfig,
     wavelengths: np.ndarray,
     density: np.ndarray,
     bin_width: float,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kerrswitch as ks
+from kerrswitch.photons import _outcome_cells
 from kerrswitch.errors import CutoffTooSmall, NoCoincidences, ValidationError, ZeroNoise
 
 
@@ -156,14 +157,6 @@ class TestSnr:
             ks.snr(0.32, 0.0)
 
 
-def test_pair_count_sampler_mean():
-    rng = np.random.default_rng(np.random.SeedSequence(99))
-    n = 1_000_000
-    samples = ks.sample_pair_counts(0.24, n, rng)
-    sigma = math.sqrt(0.24 * 1.24 / n)
-    assert abs(samples.mean() - 0.24) <= 3.0 * sigma
-
-
 def _mc_config(**overrides):
     doc = {
         "source": {"mean_photon_number": 3.86, "max_photon_cutoff": 60},
@@ -234,7 +227,7 @@ class TestMonteCarlo:
 
     def test_worker_count_invariance(self):
         cfg = _mc_config()
-        pulses = (1 << 17) + 7919  # force an uneven final block
+        pulses = (1 << 17) + 7919
         one = ks.monte_carlo_experiment(cfg, lambda t: 0.7, pulses=pulses, seed=13, n_max=2, workers=1)
         two = ks.monte_carlo_experiment(cfg, lambda t: 0.7, pulses=pulses, seed=13, n_max=2, workers=2)
         three = ks.monte_carlo_experiment(cfg, lambda t: 0.7, pulses=pulses, seed=13, n_max=2, workers=3)
@@ -279,3 +272,73 @@ class TestMonteCarlo:
         noise1 = sum(r.noise_s + r.noise_u for r in r1.records)
         noise2 = sum(r.noise_s + r.noise_u for r in r2.records)
         assert noise2 > 50 * noise1
+
+
+class TestOutcomeCells:
+    @pytest.mark.parametrize("noise", [0.0, 1e-5, 0.3, 40.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 0.985, 1.0])
+    def test_probabilities_sum_to_one(self, eta, noise):
+        cfg = _mc_config(
+            source={"mean_photon_number": 0.8},
+            detectors={
+                "herald_efficiency": 0.6,
+                "system_transmittance": 0.5,
+                "noise_per_pulse_switched": noise,
+                "noise_per_pulse_unswitched": noise / 3.0,
+            },
+        )
+        *_, probs = _outcome_cells(cfg, 6, [eta])
+        assert np.all(probs >= 0.0)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+    def test_noise_totals_follow_the_counted_cells(self):
+        # No signal photon reaches a detector and the unswitched port has no
+        # noise, so every counted switched detection is a switched noise
+        # count of the same pulse. Noise totals drawn apart from the
+        # coincidences would fall below the switched detections in some runs.
+        cfg = _mc_config(
+            source={"mean_photon_number": 1.0},
+            detectors={
+                "herald_efficiency": 0.8,
+                "system_transmittance": 0.0,
+                "noise_per_pulse_switched": 0.7,
+                "noise_per_pulse_unswitched": 0.0,
+            },
+            sweep={"delays_ps": [0.0]},
+        )
+        with_detections = 0
+        for seed in range(1000):
+            result = ks.monte_carlo_experiment(cfg, lambda t: 0.5, pulses=1, seed=seed, n_max=3)
+            switched = sum(
+                k * int(result.split_events[n][0, k]) for n in (1, 2, 3) for k in range(n + 1)
+            )
+            assert result.records[0].noise_s >= switched
+            with_detections += switched > 0
+        assert with_detections >= 50
+
+    def test_huge_pulse_count(self):
+        cfg = _mc_config(
+            source={"mean_photon_number": 0.24},
+            detectors={
+                "herald_efficiency": 0.5,
+                "system_transmittance": 0.32,
+                "noise_per_pulse_switched": 1e-5,
+                "noise_per_pulse_unswitched": 1e-5,
+            },
+        )
+        pulses = 10**12
+        result = ks.monte_carlo_experiment(cfg, lambda t: 0.9, pulses=pulses, seed=3, n_max=6)
+        for n in range(1, 7):
+            assert np.all(result.split_events[n].sum(axis=1) <= pulses)
+        assert all(r.pulses == pulses and r.n_si > 0 for r in result.records)
+
+    def test_herald_numbers_past_the_cutoff_never_occur(self):
+        cfg = _mc_config(
+            source={"mean_photon_number": 0.24, "max_photon_cutoff": 2},
+            detectors={"noise_per_pulse_switched": 0.1, "noise_per_pulse_unswitched": 0.1},
+        )
+        with pytest.warns(CutoffTooSmall):
+            result = ks.monte_carlo_experiment(cfg, lambda t: 0.9, pulses=100_000, seed=4, n_max=6)
+        assert result.split_events[2].sum() > 0
+        for n in range(3, 7):
+            assert not result.split_events[n].any()
