@@ -56,8 +56,11 @@ def _load_config(args):
     if args.config is None:
         text = ""
     else:
-        with open(args.config, "r") as handle:
-            text = handle.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config file is not valid UTF-8: {exc}") from exc
     config = parse_config(text, strict=args.strict)
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=args.seed)

@@ -2,37 +2,32 @@
 
 The document uses bench units (nJ, ps, fs, nm) matching how the instrument is
 driven; everything is converted to SI on parse. A bench value converts to the
-same double as its SI literal: "energy_nj": 6.0 gives exactly 6e-9 J, the
-double Python reads from "6e-9". Numbers must be finite, and so must their SI
+same double as its SI literal: 6.0 nJ gives exactly 6e-9 J, the double
+Python reads from "6e-9". Numbers must be finite, and so must their SI
 values; NaN, Infinity and overflowing literals raise ParseError. Any subset
 of keys may be given; missing keys take the defaults below, which describe
 the reference switch: a 24 cm single-mode fiber pumped by 180 fs, 1030 nm
 pulses switching 1550 nm photons, with a 2 ps pump/signal walk-off across
 the fiber.
+
+Each document field is one row of `_FIELDS`: its section, its key, the config
+field it sets, its unit exponent and its default. `DEFAULT_DOCUMENT`, the
+parser and the emitter are all derived from that table, so adding a field
+means adding one row (and the field to its section's dataclass in `core`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import typing
 import warnings
+from collections import namedtuple
 
-from .core import (
-    DetectorConfig,
-    ExperimentConfig,
-    FiberSpec,
-    MonteCarloConfig,
-    PolarizationGeometry,
-    PumpConfig,
-    SignalConfig,
-    SolverConfig,
-    SourceConfig,
-    SweepConfig,
-    TimeGrid,
-    TofConfig,
-)
-from .errors import ParseError, ValidationError
+from .core import ExperimentConfig
+from .errors import ParseError
 
 # Each bench unit is a power of ten of its SI unit; these are the exponents.
 _NJ = -9
@@ -45,63 +40,63 @@ _PS_PER_M = -12
 _UM2 = -12
 _PS_PER_NM = _PS - _NM
 
-DEFAULT_DOCUMENT: dict = {
-    "pump": {
-        "wavelength_nm": 1030.0,
-        "fwhm_fs": 180.0,
-        "energy_nj": 8.0,
-        "rep_rate_hz": 200e3,
-    },
-    "signal": {
-        "wavelength_nm": 1550.0,
-        "fwhm_fs": 600.0,
-    },
-    "fiber": {
-        "length_m": 0.24,
-        "beta2_pump_ps2_km": 24.0,
-        "beta3_pump_ps3_km": 0.0,
-        "beta2_signal_ps2_km": -25.0,
-        "walkoff_ps_m": 8.333333333333334,
-        "n2_m2_w": 2.6e-20,
-        "a_eff_um2": 43.0,
-        "alpha_per_m": 0.0,
-    },
-    "geometry": {
-        "theta_rad": math.pi / 4.0,
-    },
-    "grid": {
-        "n_samples": 16384,
-        "window_ps": 40.0,
-    },
-    "source": {
-        "mean_photon_number": 0.24,
-        "max_photon_cutoff": 60,
-    },
-    "detectors": {
-        "herald_efficiency": 0.5,
-        "system_transmittance": 0.32,
-        "noise_per_pulse_switched": 1e-5,
-        "noise_per_pulse_unswitched": 1e-5,
-        "coincidence_window_ps": 60.0,
-        "noise_window_multiplier": 1.0,
-    },
-    "tof": {
-        "dispersion_ps_nm": 1033.0,
-        "reference_wavelength_nm": 1550.0,
-        "jitter_fwhm_ps": 20.0,
-    },
-    "sweep": {
-        "energies_nj": [0.5 * i for i in range(29)],
-        "delays_ps": [round(-6.0 + 0.1 * i, 10) for i in range(121)],
-    },
-    "solver": {
-        "steps": 256,
-    },
-    "monte_carlo": {
-        "pulses_per_delay": 200_000,
-    },
-    "rng_seed": 12345,
-}
+# One row per document field. The exponent is the decimal exponent of the
+# bench unit in SI (0 for a field already in SI); None marks an integer
+# field, and a list default marks a list field. Section None is the top level.
+# `_build` groups consecutive rows, so each section's rows stay together.
+_Field = namedtuple("_Field", "section key name exponent default")
+_FIELDS = tuple(
+    _Field(*row)
+    for row in (
+        ("pump", "wavelength_nm", "center_wavelength", _NM, 1030.0),
+        ("pump", "fwhm_fs", "fwhm_duration", _FS, 180.0),
+        ("pump", "energy_nj", "energy", _NJ, 8.0),
+        ("pump", "rep_rate_hz", "repetition_rate", 0, 200e3),
+        ("signal", "wavelength_nm", "center_wavelength", _NM, 1550.0),
+        ("signal", "fwhm_fs", "fwhm_duration", _FS, 600.0),
+        ("fiber", "length_m", "length", 0, 0.24),
+        ("fiber", "beta2_pump_ps2_km", "beta2_pump", _PS2_PER_KM, 24.0),
+        ("fiber", "beta3_pump_ps3_km", "beta3_pump", _PS3_PER_KM, 0.0),
+        ("fiber", "beta2_signal_ps2_km", "beta2_signal", _PS2_PER_KM, -25.0),
+        ("fiber", "walkoff_ps_m", "walkoff", _PS_PER_M, 8.333333333333334),
+        ("fiber", "n2_m2_w", "n2", 0, 2.6e-20),
+        ("fiber", "a_eff_um2", "a_eff", _UM2, 43.0),
+        ("fiber", "alpha_per_m", "alpha", 0, 0.0),
+        ("geometry", "theta_rad", "theta", 0, math.pi / 4.0),
+        ("grid", "n_samples", "n_samples", None, 16384),
+        ("grid", "window_ps", "window", _PS, 40.0),
+        ("source", "mean_photon_number", "mean_photon_number", 0, 0.24),
+        ("source", "max_photon_cutoff", "max_photon_cutoff", None, 60),
+        ("detectors", "herald_efficiency", "herald_efficiency", 0, 0.5),
+        ("detectors", "system_transmittance", "system_transmittance", 0, 0.32),
+        ("detectors", "noise_per_pulse_switched", "noise_per_pulse_switched", 0, 1e-5),
+        ("detectors", "noise_per_pulse_unswitched", "noise_per_pulse_unswitched", 0, 1e-5),
+        ("detectors", "coincidence_window_ps", "coincidence_window", _PS, 60.0),
+        ("detectors", "noise_window_multiplier", "noise_window_multiplier", 0, 1.0),
+        ("tof", "dispersion_ps_nm", "dispersion", _PS_PER_NM, 1033.0),
+        ("tof", "reference_wavelength_nm", "reference_wavelength", _NM, 1550.0),
+        ("tof", "jitter_fwhm_ps", "jitter_fwhm", _PS, 20.0),
+        ("sweep", "energies_nj", "energies", _NJ, [0.5 * i for i in range(29)]),
+        ("sweep", "delays_ps", "delays", _PS, [round(-6.0 + 0.1 * i, 10) for i in range(121)]),
+        ("solver", "steps", "steps", None, 256),
+        ("monte_carlo", "pulses_per_delay", "pulses_per_delay", None, 200_000),
+        (None, "rng_seed", "rng_seed", None, 12345),
+    )
+)
+
+# Section name -> its config dataclass, read off ExperimentConfig's fields.
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+
+
+def _document(value_of) -> dict:
+    """A config document holding `value_of(row)` under each row's key."""
+    doc: dict = {}
+    for row in _FIELDS:
+        (doc.setdefault(row.section, {}) if row.section else doc)[row.key] = value_of(row)
+    return doc
+
+
+DEFAULT_DOCUMENT: dict = _document(lambda row: row.default)
 
 
 def _merge(defaults, given, path, strict):
@@ -150,83 +145,33 @@ def _si(value, exponent: int, label: str) -> float:
     return si
 
 
-def _number(doc, section, key, exponent=0):
-    value = doc[section][key] if section else doc[key]
-    return _si(value, exponent, f"{section}.{key}" if section else key)
-
-
-def _integer(doc, section, key):
-    value = doc[section][key] if section else doc[key]
-    label = f"{section}.{key}" if section else key
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"'{label}' must be an integer")
-    return value
-
-
-def _number_list(doc, section, key, exponent=0):
-    value = doc[section][key]
-    label = f"{section}.{key}"
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise ParseError(f"'{label}' must be a non-empty list of numbers")
-    return [_si(v, exponent, f"{label}[{i}]") for i, v in enumerate(value)]
+def _convert(row: _Field, value, label: str):
+    """The config value of a document value: an integer, an SI double, or a
+    tuple of SI doubles, as the row says."""
+    if isinstance(row.default, list):
+        if not isinstance(value, list) or not value or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+        ):
+            raise ParseError(f"'{label}' must be a non-empty list of numbers")
+        return tuple(_si(v, row.exponent, f"{label}[{i}]") for i, v in enumerate(value))
+    if row.exponent is None:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"'{label}' must be an integer")
+        return value
+    return _si(value, row.exponent, label)
 
 
 def _build(doc: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        pump=PumpConfig(
-            center_wavelength=_number(doc, "pump", "wavelength_nm", _NM),
-            fwhm_duration=_number(doc, "pump", "fwhm_fs", _FS),
-            energy=_number(doc, "pump", "energy_nj", _NJ),
-            repetition_rate=_number(doc, "pump", "rep_rate_hz"),
-        ),
-        signal=SignalConfig(
-            center_wavelength=_number(doc, "signal", "wavelength_nm", _NM),
-            fwhm_duration=_number(doc, "signal", "fwhm_fs", _FS),
-        ),
-        fiber=FiberSpec(
-            length=_number(doc, "fiber", "length_m"),
-            beta2_pump=_number(doc, "fiber", "beta2_pump_ps2_km", _PS2_PER_KM),
-            beta3_pump=_number(doc, "fiber", "beta3_pump_ps3_km", _PS3_PER_KM),
-            beta2_signal=_number(doc, "fiber", "beta2_signal_ps2_km", _PS2_PER_KM),
-            walkoff=_number(doc, "fiber", "walkoff_ps_m", _PS_PER_M),
-            n2=_number(doc, "fiber", "n2_m2_w"),
-            a_eff=_number(doc, "fiber", "a_eff_um2", _UM2),
-            alpha=_number(doc, "fiber", "alpha_per_m"),
-        ),
-        geometry=PolarizationGeometry(theta=_number(doc, "geometry", "theta_rad")),
-        grid=TimeGrid(
-            n_samples=_integer(doc, "grid", "n_samples"),
-            window=_number(doc, "grid", "window_ps", _PS),
-        ),
-        source=SourceConfig(
-            mean_photon_number=_number(doc, "source", "mean_photon_number"),
-            max_photon_cutoff=_integer(doc, "source", "max_photon_cutoff"),
-        ),
-        detectors=DetectorConfig(
-            herald_efficiency=_number(doc, "detectors", "herald_efficiency"),
-            system_transmittance=_number(doc, "detectors", "system_transmittance"),
-            noise_per_pulse_switched=_number(doc, "detectors", "noise_per_pulse_switched"),
-            noise_per_pulse_unswitched=_number(doc, "detectors", "noise_per_pulse_unswitched"),
-            coincidence_window=_number(doc, "detectors", "coincidence_window_ps", _PS),
-            noise_window_multiplier=_number(doc, "detectors", "noise_window_multiplier"),
-        ),
-        sweep=SweepConfig(
-            energies=tuple(_number_list(doc, "sweep", "energies_nj", _NJ)),
-            delays=tuple(_number_list(doc, "sweep", "delays_ps", _PS)),
-        ),
-        tof=TofConfig(
-            dispersion=_number(doc, "tof", "dispersion_ps_nm", _PS_PER_NM),
-            reference_wavelength=_number(doc, "tof", "reference_wavelength_nm", _NM),
-            jitter_fwhm=_number(doc, "tof", "jitter_fwhm_ps", _PS),
-        ),
-        solver=SolverConfig(steps=_integer(doc, "solver", "steps")),
-        monte_carlo=MonteCarloConfig(
-            pulses_per_delay=_integer(doc, "monte_carlo", "pulses_per_delay")
-        ),
-        rng_seed=_integer(doc, None, "rng_seed"),
-    )
+    """Fill each section's dataclass from its rows, in table order."""
+    fields: dict = {}
+    for section, rows in itertools.groupby(_FIELDS, key=lambda row: row.section):
+        given = doc[section] if section else doc
+        values = {
+            row.name: _convert(row, given[row.key], f"{section}.{row.key}" if section else row.key)
+            for row in rows
+        }
+        fields.update({section: _SECTIONS[section](**values)} if section else values)
+    return ExperimentConfig(**fields)
 
 
 def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
@@ -248,6 +193,8 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         except ValueError as exc:  # an integer literal past Python's digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(given, dict):
         raise ParseError("config document must be a JSON object")
     doc = _merge(DEFAULT_DOCUMENT, given, "", strict)
@@ -264,70 +211,29 @@ def _inverse(value: float, exponent: int) -> float:
 
     Shifting the exponent back usually gives x, and the shortest one (7.5e-9 J
     is 7.5 nJ); where it lands one ulp off the forward conversion, nudging by
-    an ulp restores an exact parse/emit round trip.
+    an ulp restores an exact parse/emit round trip. Near the top of the double
+    range the shift back can round to inf, whose neighbour below is x.
     """
     x = _shift(value, -exponent)
-    if _shift(x, exponent) == value:
-        return x
-    for candidate in (math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
-        if _shift(candidate, exponent) == value:
+    for candidate in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+        if math.isfinite(candidate) and _shift(candidate, exponent) == value:
             return candidate
     return x
 
 
+def _emitted(row: _Field, config: ExperimentConfig):
+    """The document value of one row's config field, in bench units."""
+    value = getattr(getattr(config, row.section) if row.section else config, row.name)
+    if row.exponent in (None, 0):  # an integer, or a number already in SI
+        return value
+    if isinstance(row.default, list):
+        return [_inverse(v, row.exponent) for v in value]
+    return _inverse(value, row.exponent)
+
+
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config back to the JSON document schema (bench units)."""
-    doc = {
-        "pump": {
-            "wavelength_nm": _inverse(config.pump.center_wavelength, _NM),
-            "fwhm_fs": _inverse(config.pump.fwhm_duration, _FS),
-            "energy_nj": _inverse(config.pump.energy, _NJ),
-            "rep_rate_hz": config.pump.repetition_rate,
-        },
-        "signal": {
-            "wavelength_nm": _inverse(config.signal.center_wavelength, _NM),
-            "fwhm_fs": _inverse(config.signal.fwhm_duration, _FS),
-        },
-        "fiber": {
-            "length_m": config.fiber.length,
-            "beta2_pump_ps2_km": _inverse(config.fiber.beta2_pump, _PS2_PER_KM),
-            "beta3_pump_ps3_km": _inverse(config.fiber.beta3_pump, _PS3_PER_KM),
-            "beta2_signal_ps2_km": _inverse(config.fiber.beta2_signal, _PS2_PER_KM),
-            "walkoff_ps_m": _inverse(config.fiber.walkoff, _PS_PER_M),
-            "n2_m2_w": config.fiber.n2,
-            "a_eff_um2": _inverse(config.fiber.a_eff, _UM2),
-            "alpha_per_m": config.fiber.alpha,
-        },
-        "geometry": {"theta_rad": config.geometry.theta},
-        "grid": {
-            "n_samples": config.grid.n_samples,
-            "window_ps": _inverse(config.grid.window, _PS),
-        },
-        "source": {
-            "mean_photon_number": config.source.mean_photon_number,
-            "max_photon_cutoff": config.source.max_photon_cutoff,
-        },
-        "detectors": {
-            "herald_efficiency": config.detectors.herald_efficiency,
-            "system_transmittance": config.detectors.system_transmittance,
-            "noise_per_pulse_switched": config.detectors.noise_per_pulse_switched,
-            "noise_per_pulse_unswitched": config.detectors.noise_per_pulse_unswitched,
-            "coincidence_window_ps": _inverse(config.detectors.coincidence_window, _PS),
-            "noise_window_multiplier": config.detectors.noise_window_multiplier,
-        },
-        "tof": {
-            "dispersion_ps_nm": _inverse(config.tof.dispersion, _PS_PER_NM),
-            "reference_wavelength_nm": _inverse(config.tof.reference_wavelength, _NM),
-            "jitter_fwhm_ps": _inverse(config.tof.jitter_fwhm, _PS),
-        },
-        "sweep": {
-            "energies_nj": [_inverse(e, _NJ) for e in config.sweep.energies],
-            "delays_ps": [_inverse(d, _PS) for d in config.sweep.delays],
-        },
-        "solver": {"steps": config.solver.steps},
-        "monte_carlo": {"pulses_per_delay": config.monte_carlo.pulses_per_delay},
-        "rng_seed": config.rng_seed,
-    }
+    doc = _document(lambda row: _emitted(row, config))
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

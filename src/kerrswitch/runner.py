@@ -223,24 +223,20 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6, workers: int = 1
         n_max=n_max,
     )
 
-    rows = []
     records = []
     for n in range(1, n_max + 1):
         exact = [binomial_split(n, float(e)) for e in etas]
         for k in range(n + 1):
-            curve = [dist.probs[k] for dist in exact]
             records.append(
                 {
                     "kind": "exact",
                     "N": n,
                     "n_S": k,
                     "n_U": n - k,
-                    "probability": curve,
+                    "probability": [dist.probs[k] for dist in exact],
                     "stderr": [0.0] * delays.size,
                 }
             )
-            for j in range(delays.size):
-                rows.append([delays[j] / _PS, n, k, n - k, curve[j], 0.0, "exact"])
         mc_probs = []
         mc_err = []
         for j in range(delays.size):
@@ -258,10 +254,11 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6, workers: int = 1
                     "stderr": [float(mc_err[j][k]) for j in range(delays.size)],
                 }
             )
-            for j in range(delays.size):
-                rows.append(
-                    [delays[j] / _PS, n, k, n - k, mc_probs[j][k], mc_err[j][k], "monte_carlo"]
-                )
+    rows = (
+        [delays[j] / _PS, r["N"], r["n_S"], r["n_U"], r["probability"][j], r["stderr"][j], r["kind"]]
+        for r in records
+        for j in range(delays.size)
+    )
 
     run.write_csv(
         "fock_probs.csv",

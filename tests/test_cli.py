@@ -239,6 +239,21 @@ class TestCliMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps({"pump": {"energy_nj": 8.0}}).encode())
+        code = main(["validate-config", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "UTF-8" in err
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main(["validate-config", "--config", str(path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_key_needs_strict_flag(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"pump": {"fwmh_fs": 200.0}}))

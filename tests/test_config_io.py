@@ -1,12 +1,15 @@
 """Config document parsing, emission, round trips, and hashing."""
 
+import dataclasses
 import json
 import math
+import typing
+import warnings
 
 import pytest
 
 import kerrswitch as ks
-from kerrswitch.config_io import DEFAULT_DOCUMENT
+from kerrswitch.config_io import _FIELDS, DEFAULT_DOCUMENT
 from kerrswitch.errors import ParseError, ValidationError
 
 # Bench-unit fields: (section, key, decimal exponent of the unit in SI, SI value).
@@ -27,6 +30,29 @@ BENCH_FIELDS = [
     ("tof", "reference_wavelength_nm", -9, lambda c: c.tof.reference_wavelength),
     ("tof", "jitter_fwhm_ps", -12, lambda c: c.tof.jitter_fwhm),
 ]
+
+
+def document_fields():
+    """Every (section, key) of DEFAULT_DOCUMENT; section None is the top level."""
+    for section, body in DEFAULT_DOCUMENT.items():
+        if isinstance(body, dict):
+            yield from ((section, key) for key in body)
+        else:
+            yield None, section
+
+
+DOCUMENT_FIELDS = list(document_fields())
+
+
+def with_value(doc, section, key, value):
+    """Set `value` at (section, key) of `doc`, or as the whole section if key
+    is None; a field under a section that is not an object is skipped."""
+    if key is None:
+        doc[section] = value
+    elif section is None:
+        doc[key] = value
+    elif isinstance(doc.setdefault(section, {}), dict):
+        doc[section][key] = value
 
 
 def si_literal(x, exp):
@@ -130,6 +156,49 @@ class TestMalformedDocuments:
         with pytest.raises(ParseError, match="pump"):
             ks.parse_config(json.dumps({"pump": 7}))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, '{"pump": ' * 50000 + "8.0" + "}" * 50000],
+        ids=["arrays", "objects"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            ks.parse_config(text)
+
+    def test_any_replaced_value_raises_only_config_errors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalars = (
+            st.none()
+            | st.booleans()
+            | st.text(max_size=4)
+            | st.floats()
+            | st.integers(-(10**400), 10**400)
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=8,
+        )
+        sections = [s for s, body in DEFAULT_DOCUMENT.items() if isinstance(body, dict)]
+        paths = st.sampled_from(DOCUMENT_FIELDS + [(s, None) for s in sections])
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(paths, values), min_size=1, max_size=3), st.booleans())
+        def check(replacements, strict):
+            doc: dict = {}
+            for (section, key), value in replacements:
+                with_value(doc, section, key, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    ks.parse_config(json.dumps(doc), strict=strict)
+                except (ParseError, ValidationError):
+                    pass
+
+        check()
+
 
 class TestRoundTrip:
     def test_defaults_round_trip(self):
@@ -148,6 +217,51 @@ class TestRoundTrip:
         cfg = ks.parse_config(json.dumps(doc))
         again = ks.parse_config(ks.emit_config(cfg))
         assert again == cfg
+
+    def test_any_accepted_document_round_trips_with_its_hash(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = (
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(1e-3, 1.0)
+            | st.integers(-(10**20), 10**20)
+        )
+
+        def values_for(default):
+            if isinstance(default, list):
+                return st.lists(finite, min_size=1, max_size=4)
+            if isinstance(default, int):
+                return st.integers(0, 2**64) | st.sampled_from([8, 64, 4096, 16384])
+            return finite
+
+        def default_of(section, key):
+            return DEFAULT_DOCUMENT[section][key] if section else DEFAULT_DOCUMENT[key]
+
+        # A few fields at a time, so that a fair share of documents parse.
+        overrides = st.lists(st.sampled_from(DOCUMENT_FIELDS), max_size=6, unique=True).flatmap(
+            lambda paths: st.fixed_dictionaries({p: values_for(default_of(*p)) for p in paths})
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(overrides)
+        def check(given):
+            doc: dict = {}
+            for (section, key), value in given.items():
+                with_value(doc, section, key, value)
+            try:
+                cfg = ks.parse_config(json.dumps(doc))
+            except (ParseError, ValidationError):
+                return
+            again = ks.parse_config(ks.emit_config(cfg))
+            assert again == cfg
+            assert ks.config_hash(again) == ks.config_hash(cfg)
+
+        check()
+
+    def test_largest_double_round_trips(self):
+        # Its SI value shifts back past the largest double, to inf.
+        cfg = ks.parse_config('{"fiber": {"walkoff_ps_m": 1.7976931348623157e308}}')
+        assert ks.parse_config(ks.emit_config(cfg)) == cfg
 
     def test_emit_is_stable(self):
         cfg = ks.parse_config("")
@@ -201,6 +315,23 @@ class TestExactUnitConversion:
             assert ks.parse_config(emitted) == cfg
 
         check()
+
+
+class TestFieldTable:
+    def test_rows_cover_every_config_field_once(self):
+        hints = typing.get_type_hints(ks.ExperimentConfig)
+        expected = set()
+        for name, kind in hints.items():
+            if dataclasses.is_dataclass(kind):
+                expected |= {(name, f.name) for f in dataclasses.fields(kind)}
+            else:
+                expected.add((None, name))
+        rows = [(row.section, row.name) for row in _FIELDS]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == expected
+
+    def test_default_hash_is_pinned(self):
+        assert ks.config_hash(ks.default_config()) == "545a9f6720636b1c"
 
 
 class TestConfigHash:
