@@ -51,7 +51,6 @@ _FIELDS = tuple(
         ("pump", "wavelength_nm", "center_wavelength", _NM, 1030.0),
         ("pump", "fwhm_fs", "fwhm_duration", _FS, 180.0),
         ("pump", "energy_nj", "energy", _NJ, 8.0),
-        ("pump", "rep_rate_hz", "repetition_rate", 0, 200e3),
         ("signal", "wavelength_nm", "center_wavelength", _NM, 1550.0),
         ("signal", "fwhm_fs", "fwhm_duration", _FS, 600.0),
         ("fiber", "length_m", "length", 0, 0.24),

@@ -25,7 +25,7 @@ class TimeGrid:
     """Uniform, zero-centered time grid with the matching FFT frequency grid.
 
     Attributes:
-        n_samples: number of samples; a power of two, at least 64.
+        n_samples: number of samples; a power of two from 64 to 2**22.
         window: total span of the grid in seconds.
     """
 
@@ -34,8 +34,9 @@ class TimeGrid:
 
     def __post_init__(self):
         n = self.n_samples
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValidationError("grid.n_samples must be a power of two >= 64")
+        # The pump kernel's complex work arrays take 64 MB each at 2**22 samples.
+        if not (64 <= n <= 2**22) or (n & (n - 1)) != 0:
+            raise ValidationError("grid.n_samples must be a power of two in 64..2**22")
         if not (self.window > 0.0):
             raise ValidationError("grid.window must be positive")
 
@@ -192,7 +193,6 @@ class PumpConfig:
     center_wavelength: float
     fwhm_duration: float
     energy: float
-    repetition_rate: float
 
     def __post_init__(self):
         if not (self.center_wavelength > 0.0):
@@ -201,8 +201,6 @@ class PumpConfig:
             raise ValidationError("pump.fwhm_duration must be positive")
         if not (self.energy > 0.0):
             raise ValidationError("pump.energy must be positive")
-        if not (self.repetition_rate > 0.0):
-            raise ValidationError("pump.repetition_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -225,8 +223,9 @@ class SourceConfig:
     def __post_init__(self):
         if self.mean_photon_number < 0.0:
             raise ValidationError("source.mean_photon_number must be non-negative")
-        if self.max_photon_cutoff < 1:
-            raise ValidationError("source.max_photon_cutoff must be >= 1")
+        # The source and loss tables hold (cutoff+1)**2 doubles each.
+        if not (1 <= self.max_photon_cutoff <= 1000):
+            raise ValidationError("source.max_photon_cutoff must lie in 1..1000")
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,9 @@ class SolverConfig:
     steps: int = 256
 
     def __post_init__(self):
-        if self.steps < 8:
-            raise ValidationError("solver.steps must be >= 8")
+        # 2**20 slices take ~12 min on the default grid; the residual runs twice that.
+        if not (8 <= self.steps <= 2**20):
+            raise ValidationError("solver.steps must lie in 8..2**20")
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,9 @@ class MonteCarloConfig:
     pulses_per_delay: int = 200_000
 
     def __post_init__(self):
-        if self.pulses_per_delay < 1:
-            raise ValidationError("monte_carlo.pulses_per_delay must be >= 1")
+        # The multinomial draw counts pulses in int64.
+        if not (1 <= self.pulses_per_delay < 2**63):
+            raise ValidationError("monte_carlo.pulses_per_delay must lie in 1..2**63-1")
 
 
 @dataclass(frozen=True)

@@ -202,12 +202,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifes
     return run.finish()
 
 
-def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6, workers: int = 1) -> RunManifest:
+def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     """Exact and Monte Carlo port-split curves for heralded N-photon states.
 
     Writes fock_probs.csv (exact rows carry stderr 0; Monte Carlo rows carry
-    binomial standard errors), fock_probs.json, and manifest.json. `workers`
-    is accepted for callers that pass it; the Monte Carlo needs no pool.
+    binomial standard errors), fock_probs.json, and manifest.json.
     """
     if not (1 <= n_max <= 10):
         raise ValidationError("n_max must lie in 1..10")

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
@@ -102,7 +101,8 @@ def numeric_efficiency(
     delay: float,
     steps: int | None = None,
 ) -> SwitchResult:
-    """Simulation-driven switching efficiency at one (energy, delay) point."""
+    """Simulation-driven switching efficiency at one (energy, delay) point,
+    with `steps` pump slices (default `config.solver.steps`)."""
     if pump_energy < 0.0:
         raise ValidationError("pump_energy must be non-negative")
     steps = config.solver.steps if steps is None else steps
@@ -120,15 +120,14 @@ def efficiency_vs_delay(
     config: ExperimentConfig,
     pump_energy: float,
     delays: np.ndarray,
-    steps: int | None = None,
 ) -> np.ndarray:
-    """Efficiency along a delay axis at fixed pump energy (one propagation)."""
-    steps = config.solver.steps if steps is None else steps
+    """Efficiency along a delay axis at fixed pump energy (one propagation of
+    `config.solver.steps` slices)."""
     weights = _cached_signal_weights(config)
     delays = np.asarray(delays, dtype=float)
     if pump_energy == 0.0:
         return np.zeros(delays.shape)
-    kernel = _cached_kernel(config, pump_energy, steps)
+    kernel = _cached_kernel(config, pump_energy, config.solver.steps)
     out = np.empty(delays.shape)
     for j, tau in enumerate(delays):
         phase = sample_xpm_phase(kernel, config.grid, float(tau))
@@ -136,9 +135,7 @@ def efficiency_vs_delay(
     return out
 
 
-def sweep_surface(
-    config: ExperimentConfig, workers: int = 1, steps: int | None = None
-) -> SweepSurface:
+def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     """Efficiency over the configured (energy, delay) grid.
 
     Rows (fixed energy) are independent, so they run on up to `workers`
@@ -152,14 +149,14 @@ def sweep_surface(
     delays = np.asarray(config.sweep.delays, dtype=float)
 
     def row(pump_energy: float) -> np.ndarray:
-        return efficiency_vs_delay(config, float(pump_energy), delays, steps=steps)
+        return efficiency_vs_delay(config, float(pump_energy), delays)
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         rows = list(pool.map(row, energies))
     return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
 
 
-def calibrate_pi_energy(config: ExperimentConfig, steps: int | None = None) -> float:
+def calibrate_pi_energy(config: ExperimentConfig) -> float:
     """Pump energy maximizing the zero-delay efficiency.
 
     Scans the configured sweep energy range, then refines the best bracket
@@ -168,6 +165,9 @@ def calibrate_pi_energy(config: ExperimentConfig, steps: int | None = None) -> f
     Raises:
         NoBracket: if the efficiency never exceeds 0.5 on the scanned range.
     """
+    # Only calibration needs scipy.optimize; importing it costs ~0.2 s.
+    from scipy.optimize import minimize_scalar
+
     energies = np.asarray(config.sweep.energies, dtype=float)
     lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
@@ -176,7 +176,7 @@ def calibrate_pi_energy(config: ExperimentConfig, steps: int | None = None) -> f
         coarse = np.sort(energies)
     else:
         coarse = np.linspace(lo, hi, 17)
-    etas = np.array([numeric_efficiency(config, float(e), 0.0, steps).eta for e in coarse])
+    etas = np.array([numeric_efficiency(config, float(e), 0.0).eta for e in coarse])
     best = int(np.argmax(etas))
     if etas[best] <= 0.5:
         raise NoBracket(
@@ -187,7 +187,7 @@ def calibrate_pi_energy(config: ExperimentConfig, steps: int | None = None) -> f
     if left == right:
         return float(coarse[best])
     res = minimize_scalar(
-        lambda e: -numeric_efficiency(config, float(e), 0.0, steps).eta,
+        lambda e: -numeric_efficiency(config, float(e), 0.0).eta,
         bounds=(left, right),
         method="bounded",
         options={"xatol": 1e-3 * max(coarse[best], hi * 1e-3)},
@@ -196,27 +196,26 @@ def calibrate_pi_energy(config: ExperimentConfig, steps: int | None = None) -> f
 
 
 def pump_output_spectrum(
-    config: ExperimentConfig, pump_energy: float, steps: int | None = None
+    config: ExperimentConfig, pump_energy: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized pump spectrum after the fiber at the given launch energy.
 
     A zero launch energy returns the transform-limited input spectrum: the
     normalized spectral shape is the zero-power limit of the propagated one.
     """
-    steps = config.solver.steps if steps is None else steps
     if pump_energy == 0.0:
         return pump_spectrum(_make_pump(config, 1e-12))
-    kernel = _cached_kernel(config, pump_energy, steps)
+    kernel = _cached_kernel(config, pump_energy, config.solver.steps)
     return pump_spectrum(kernel.pump_final)
 
 
 def convergence_residual(
-    config: ExperimentConfig, pump_energy: float, delay: float = 0.0, steps: int | None = None
+    config: ExperimentConfig, pump_energy: float, delay: float = 0.0
 ) -> float:
-    """Step-doubling efficiency residual |eta(steps) - eta(2*steps)|."""
-    steps = config.solver.steps if steps is None else steps
-    eta1 = numeric_efficiency(config, pump_energy, delay, steps).eta
-    eta2 = numeric_efficiency(config, pump_energy, delay, 2 * steps).eta
+    """Step-doubling efficiency residual |eta(steps) - eta(2*steps)| at
+    steps = `config.solver.steps`."""
+    eta1 = numeric_efficiency(config, pump_energy, delay).eta
+    eta2 = numeric_efficiency(config, pump_energy, delay, 2 * config.solver.steps).eta
     return abs(eta1 - eta2)
 
 

@@ -5,6 +5,9 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,9 +170,9 @@ class TestCmdFock:
         with pytest.raises(ks.errors.ValidationError):
             ks.cmd_fock(small_cfg, tmp_path, n_max=11)
 
-    def test_rerun_and_workers_byte_identical(self, small_cfg, tmp_path):
-        ks.cmd_fock(small_cfg, tmp_path / "a", n_max=2, workers=1)
-        ks.cmd_fock(small_cfg, tmp_path / "b", n_max=2, workers=2)
+    def test_rerun_byte_identical(self, small_cfg, tmp_path):
+        ks.cmd_fock(small_cfg, tmp_path / "a", n_max=2)
+        ks.cmd_fock(small_cfg, tmp_path / "b", n_max=2)
         assert (tmp_path / "a" / "fock_probs.csv").read_bytes() == (
             tmp_path / "b" / "fock_probs.csv"
         ).read_bytes()
@@ -254,6 +257,22 @@ class TestCliMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-config", "fock"])
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("grid", "n_samples"),
+            ("source", "max_photon_cutoff"),
+            ("solver", "steps"),
+            ("monte_carlo", "pulses_per_delay"),
+        ],
+    )
+    def test_huge_integer_is_a_config_error(self, tmp_path, capsys, command, section, key):
+        cfg_path = self.write_config(tmp_path, {section: {key: 2**64}})
+        code = main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+
     def test_unknown_key_needs_strict_flag(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"pump": {"fwmh_fs": 200.0}}))
@@ -303,3 +322,21 @@ class TestCliMain:
         cfg_path = self.write_config(tmp_path)
         assert main(["calibrate", "--config", cfg_path]) == 0
         assert (tmp_path / "envout" / "calibration.json").exists()
+
+
+def test_cli_leaves_scipy_optimize_unloaded():
+    """Only calibration needs scipy.optimize, so importing the CLI and
+    validating a config in a fresh interpreter must not load it."""
+    src = str(Path(ks.__file__).resolve().parents[1])
+    code = (
+        "import sys; from kerrswitch.cli import main; main(['validate-config']); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"

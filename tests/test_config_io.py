@@ -89,6 +89,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="n_samples"):
             ks.parse_config(json.dumps({"grid": {"n_samples": 1000}}))
 
+    @pytest.mark.parametrize(
+        "section,key,top",
+        [
+            ("grid", "n_samples", 2**22),
+            ("source", "max_photon_cutoff", 1000),
+            ("solver", "steps", 2**20),
+            ("monte_carlo", "pulses_per_delay", 2**63 - 1),
+        ],
+    )
+    def test_integer_fields_are_bounded(self, section, key, top):
+        cfg = ks.parse_config(json.dumps({section: {key: top}}))
+        assert getattr(getattr(cfg, section), key) == top
+        for over in (2 * top if key == "n_samples" else top + 1, 2**64):
+            with pytest.raises(ValidationError, match=f"{section}.{key}"):
+                ks.parse_config(json.dumps({section: {key: over}}))
+
     def test_bad_efficiency(self):
         with pytest.raises(ValidationError, match="herald_efficiency"):
             ks.parse_config(json.dumps({"detectors": {"herald_efficiency": 1.5}}))
@@ -120,8 +136,8 @@ class TestNonFiniteNumbers:
             ks.parse_config('{"sweep": {"delays_ps": [0.0, NaN]}}')
 
     def test_integer_too_large_for_a_float_rejected(self):
-        with pytest.raises(ParseError, match="pump.rep_rate_hz"):
-            ks.parse_config('{"pump": {"rep_rate_hz": 1%s}}' % ("0" * 400))
+        with pytest.raises(ParseError, match="fiber.length_m"):
+            ks.parse_config('{"fiber": {"length_m": 1%s}}' % ("0" * 400))
 
     def test_integer_past_the_digit_limit_rejected(self):
         with pytest.raises(ParseError):
@@ -137,6 +153,13 @@ class TestStrictness:
         with pytest.warns(UserWarning, match="enregy_nj"):
             cfg = ks.parse_config(json.dumps({"pump": {"enregy_nj": 9.0}}), strict=False)
         assert cfg.pump.energy == pytest.approx(8e-9, rel=1e-12)
+
+    def test_rep_rate_is_an_unknown_key(self):
+        doc = json.dumps({"pump": {"rep_rate_hz": 200e3}})
+        with pytest.raises(ParseError, match="pump.rep_rate_hz"):
+            ks.parse_config(doc, strict=True)
+        with pytest.warns(UserWarning, match="pump.rep_rate_hz"):
+            assert ks.parse_config(doc, strict=False) == ks.default_config()
 
     def test_unknown_top_level_section(self):
         with pytest.raises(ParseError, match="detector_bank"):
@@ -331,7 +354,7 @@ class TestFieldTable:
         assert set(rows) == expected
 
     def test_default_hash_is_pinned(self):
-        assert ks.config_hash(ks.default_config()) == "545a9f6720636b1c"
+        assert ks.config_hash(ks.default_config()) == "7b39f8d901e19783"
 
 
 class TestConfigHash:

@@ -236,6 +236,26 @@ class TestMonteCarlo:
             assert np.array_equal(one.split_events[n], two.split_events[n])
             assert np.array_equal(one.split_events[n], three.split_events[n])
 
+    def test_each_delay_draws_alone(self):
+        """Delay d draws from its own (seed, d) stream: truncating the delay
+        axis or changing eta at the other delays leaves its counts unchanged."""
+        noise = {"noise_per_pulse_switched": 1e-3, "noise_per_pulse_unswitched": 2e-3}
+        full = _mc_config(detectors=noise, sweep={"delays_ps": [0.0, 0.6, 1.2, 1.8]})
+        prefix = _mc_config(detectors=noise, sweep={"delays_ps": [0.0, 0.6]})
+        flat = lambda tau: 0.7
+        bumpy = lambda tau: 0.7 if tau == full.sweep.delays[1] else 0.2
+
+        def run(cfg, eta):
+            return ks.monte_carlo_experiment(cfg, eta, pulses=50_000, seed=29, n_max=3)
+
+        base, short, changed = run(full, flat), run(prefix, flat), run(full, bumpy)
+        assert short.records == base.records[:2]
+        assert changed.records[1] == base.records[1]
+        assert changed.records[0] != base.records[0]
+        for n in (1, 2, 3):
+            assert np.array_equal(short.split_events[n], base.split_events[n][:2])
+            assert np.array_equal(changed.split_events[n][1], base.split_events[n][1])
+
     def test_noise_counts_recorded(self):
         cfg = _mc_config(
             detectors={

@@ -111,19 +111,23 @@ class TestCalibration:
 
     def test_doubling_a_eff_doubles_energy(self):
         energies = [float(i) for i in range(17)]
-        base = ks.parse_config(json.dumps({"sweep": {"energies_nj": energies}}))
+        base = ks.parse_config(json.dumps({
+            "solver": {"steps": 128},
+            "sweep": {"energies_nj": energies},
+        }))
         doubled = ks.parse_config(json.dumps({
             "fiber": {"a_eff_um2": 86.0},
+            "solver": {"steps": 128},
             "sweep": {"energies_nj": [2.0 * e for e in energies]},
         }))
-        e1 = ks.calibrate_pi_energy(base, steps=128)
-        e2 = ks.calibrate_pi_energy(doubled, steps=128)
+        e1 = ks.calibrate_pi_energy(base)
+        e2 = ks.calibrate_pi_energy(doubled)
         assert e2 / e1 == pytest.approx(2.0, rel=2e-2)
 
     def test_no_nonlinearity_has_no_bracket(self):
-        cfg = ks.parse_config(json.dumps({"fiber": {"n2_m2_w": 0.0}}))
+        cfg = ks.parse_config(json.dumps({"fiber": {"n2_m2_w": 0.0}, "solver": {"steps": 64}}))
         with pytest.raises(NoBracket):
-            ks.calibrate_pi_energy(cfg, steps=64)
+            ks.calibrate_pi_energy(cfg)
 
 
 class TestTemporalMetrics:
@@ -182,12 +186,13 @@ class TestDelayProfile:
 
     def test_wider_pump_widens_flat_top(self, default_cfg, calibrated_energy):
         delays = np.asarray(default_cfg.sweep.delays)
-        base = ks.efficiency_vs_delay(default_cfg, calibrated_energy, delays, steps=128)
+        narrow = ks.parse_config(json.dumps({"solver": {"steps": 128}}))
+        base = ks.efficiency_vs_delay(narrow, calibrated_energy, delays)
         span_base = ks.flat_top_span(delays, base, 0.98)
 
-        wide = ks.parse_config(json.dumps({"pump": {"fwhm_fs": 360.0}}))
-        e_wide = ks.calibrate_pi_energy(wide, steps=128)
-        curve_wide = ks.efficiency_vs_delay(wide, e_wide, delays, steps=128)
+        wide = ks.parse_config(json.dumps({"pump": {"fwhm_fs": 360.0}, "solver": {"steps": 128}}))
+        e_wide = ks.calibrate_pi_energy(wide)
+        curve_wide = ks.efficiency_vs_delay(wide, e_wide, delays)
         span_wide = ks.flat_top_span(delays, curve_wide, 0.98)
         assert span_wide > span_base
 
