@@ -323,6 +323,13 @@ def monte_carlo_experiment(
     delays = np.asarray(config.sweep.delays, dtype=float)
     etas = [float(eta_of_delay(float(tau))) for tau in delays]
     n, a, b, k, probs = _outcome_cells(config, n_max, etas)
+    # Noise counts are summed and binomially split in int64; a delay's total
+    # is at most pulses times the noise grid's top count.
+    top = probs.shape[1] - n.size - 1
+    if pulses * top >= 2**63:
+        raise ValidationError(
+            f"{pulses} pulses x {top} noise counts per pulse overflow int64 noise totals"
+        )
     det = config.detectors
     mean_noise = det.noise_per_pulse_switched + det.noise_per_pulse_unswitched
     share = det.noise_per_pulse_switched / mean_noise if mean_noise > 0.0 else 0.0

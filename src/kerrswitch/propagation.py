@@ -26,6 +26,11 @@ from .errors import GridMismatch, ValidationError, ZeroEnergy
 # medium; yields the 8*pi/3 differential-phase coefficient for the switch.
 XPM_DIFFERENTIAL_FACTOR = 4.0 / 3.0
 
+# Largest fraction of the pump energy a propagation sub-window may leave
+# outside itself at launch, or hold in its outer 1/16 at launch and at the end.
+WINDOW_MASS_BOUND = 1e-15
+_MIN_WINDOW = 64  # the smallest TimeGrid
+
 
 def nonlinear_coefficient(n2: float, wavelength: float, a_eff: float) -> float:
     """Kerr coefficient gamma = 2*pi*n2 / (wavelength * a_eff), 1/(W*m)."""
@@ -41,7 +46,9 @@ class XpmKernel:
     profile for any delay is this curve shifted rigidly, because the walk-off
     advection enters only through the difference of the two time axes.
     ``offsets`` is the grid's time axis, one read-only array shared by every
-    kernel on that grid.
+    kernel on that grid. ``window_samples`` is the size of the centred
+    sub-window the pump was propagated on (``n_samples`` when it took the
+    whole grid); ``pump_final`` is zero outside it.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -49,6 +56,7 @@ class XpmKernel:
     pump_final: PulseEnvelope = field(repr=False)
     per_step_energy: np.ndarray = field(repr=False)
     steps: int
+    window_samples: int
 
 
 @dataclass(frozen=True)
@@ -76,25 +84,30 @@ def _grid_axis(grid: TimeGrid) -> np.ndarray:
     return times
 
 
-def _add_shifted(acc: np.ndarray, values: np.ndarray, shift: float, work: np.ndarray) -> None:
-    """Add `values` delayed by `shift` samples to `acc`, zero-filled.
+def _add_shifted(
+    acc: np.ndarray, values: np.ndarray, shift: float, work: np.ndarray, offset: int = 0
+) -> None:
+    """Add `values`, placed at index `offset` of `acc` and delayed by `shift`
+    samples, to `acc`, zero-filled.
 
-    Equals ``acc += np.interp(k - shift, k, values, left=0, right=0)`` on the
-    sample index k: one integer offset plus a two-tap linear blend. Output
-    samples whose source index falls outside the window get nothing, so a
-    shift never wraps around. `work` is scratch of at least ``values.size``.
+    Equals ``acc += np.interp(k - offset - shift, j, values, left=0, right=0)``
+    on the sample indices k of `acc` and j of `values`: one integer offset plus
+    a two-tap linear blend. Output samples whose source index falls outside
+    `values` get nothing, and so do shifts past the ends of `acc`, so a shift
+    never wraps around. `work` is scratch of at least ``values.size``.
     """
-    n = values.size
+    m, n = values.size, acc.size
     whole = math.floor(shift)
     frac = shift - whole
+    whole += offset
     if frac == 0.0:
-        lo, hi = max(whole, 0), min(whole + n, n)
+        lo, hi = max(whole, 0), min(whole + m, n)
         if lo < hi:
             acc[lo:hi] += values[lo - whole : hi - whole]
         return
     # Sample j lies between source taps j - whole - 1 (weight frac) and
-    # j - whole (weight 1 - frac); both must be inside the window.
-    lo, hi = max(whole + 1, 0), min(whole + n, n)
+    # j - whole (weight 1 - frac); both must be inside `values`.
+    lo, hi = max(whole + 1, 0), min(whole + m, n)
     if lo >= hi:
         return
     near = values[lo - whole : hi - whole]
@@ -115,32 +128,27 @@ def _norm2(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def compute_xpm_kernel(
-    pump: PulseEnvelope,
+def _edge_mass(intensity: np.ndarray) -> float:
+    """Energy in the outer 1/16 of a window: its first and last 1/32."""
+    edge = intensity.size // 32
+    return float(intensity[:edge].sum() + intensity[-edge:].sum())
+
+
+def _split_step(
+    a: np.ndarray,
+    grid: TimeGrid,
     fiber: FiberSpec,
     steps: int,
-    signal_wavelength: float,
-) -> XpmKernel:
-    """Propagate the pump alone and integrate the swept differential phase.
-
-    Uses the symmetric split-step scheme (half dispersion / nonlinear / half
-    dispersion) on `steps` uniform z-slices. The half-dispersion steps that
-    meet between two slices are applied back to back in the frequency domain,
-    so each slice costs one FFT pair. The phase kernel is sampled at the slice
-    midpoints with the walk-off shift applied outside the periodic FFT box
-    (zero beyond the window), so large delays cannot wrap around.
-    ``per_step_energy`` holds the pump energy at launch and after each of
-    the `steps` slices.
-    """
-    if steps < 8:
-        raise ValidationError("steps must be >= 8")
-    grid = pump.grid
+    gamma_pump: float,
+    phase: np.ndarray,
+    offset: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the time-domain pump `a` (sampled on `grid`, overwritten) over
+    `steps` slices, adding each slice's walked-off intensity into `phase` from
+    index `offset`. Returns the output pump and the energy at launch and after
+    each slice."""
     n = grid.n_samples
     dz = fiber.length / steps
-    gamma_pump = nonlinear_coefficient(fiber.n2, pump.center_wavelength, fiber.a_eff)
-    xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
-        fiber.n2, signal_wavelength, fiber.a_eff
-    )
     half = _linear_factor(grid.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz)
     full = half * half
     # |half|^2 is this uniform factor: only loss changes the energy.
@@ -150,10 +158,8 @@ def compute_xpm_kernel(
     intensity = np.empty(n)
     work = np.empty(n)
     rotation = np.empty(n, dtype=np.complex128)
-    phase = np.zeros(n)
     step_energy = np.empty(steps + 1)
 
-    a = pump.samples.copy()
     step_energy[0] = _norm2(a) * grid.dt
     a = scipy.fft.fft(a, overwrite_x=True)
     a *= half
@@ -167,22 +173,86 @@ def compute_xpm_kernel(
         a *= rotation
         # Pump offset at the slice midpoint, in the signal frame, for delay 0.
         shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length)
-        _add_shifted(phase, intensity, shift / grid.dt, work)
+        _add_shifted(phase, intensity, shift / grid.dt, work, offset)
         a = scipy.fft.fft(a, overwrite_x=True)
         # Energy at the end of this slice (Parseval, then the closing half
         # step's loss); that half step merges with the next slice's opening one.
         step_energy[k + 1] = _norm2(a) * half_loss * grid.dt / n
         a *= full if k + 1 < steps else half
-    a = scipy.fft.ifft(a, overwrite_x=True)
-    phase *= xpm_coef * dz
+    return scipy.fft.ifft(a, overwrite_x=True), step_energy
 
-    pump_final = PulseEnvelope(grid=grid, center_wavelength=pump.center_wavelength, samples=a)
+
+def compute_xpm_kernel(
+    pump: PulseEnvelope,
+    fiber: FiberSpec,
+    steps: int,
+    signal_wavelength: float,
+) -> XpmKernel:
+    """Propagate the pump alone and integrate the swept differential phase.
+
+    Uses the symmetric split-step scheme (half dispersion / nonlinear / half
+    dispersion) on `steps` uniform z-slices. The half-dispersion steps that
+    meet between two slices are applied back to back in the frequency domain,
+    so each slice costs one FFT pair. The phase kernel is sampled at the slice
+    midpoints with the walk-off shift applied outside the periodic FFT box
+    (zero beyond the grid), so large delays cannot wrap around.
+    ``per_step_energy`` holds the pump energy at launch and after each of
+    the `steps` slices.
+
+    The pump is propagated on the smallest power-of-two sub-window, centred
+    in the grid and at its ``dt``, that passes two guards: at launch at most
+    ``WINDOW_MASS_BOUND`` of the pump energy lies outside the sub-window, and
+    its outer 1/16 holds at most that fraction of the energy both at launch
+    and after the last slice. The search starts at 64 samples and doubles;
+    once it reaches the full grid it propagates that, unguarded, exactly as
+    a kernel without the search would. The walked-off phase is accumulated
+    straight into the full-grid ``phase_vs_offset``, so walk-off past the
+    sub-window is kept, and ``pump_final`` is zero-padded back to the grid.
+    """
+    if steps < 8:
+        raise ValidationError("steps must be >= 8")
+    grid = pump.grid
+    n = grid.n_samples
+    gamma_pump = nonlinear_coefficient(fiber.n2, pump.center_wavelength, fiber.a_eff)
+    xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
+        fiber.n2, signal_wavelength, fiber.a_eff
+    )
+    launch = np.abs(pump.samples) ** 2
+    bound = WINDOW_MASS_BOUND * launch.sum()
+    m = _MIN_WINDOW
+    while m < n:
+        lo = (n - m) // 2
+        inside = launch[lo : lo + m]
+        if launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound:
+            # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
+            sub = TimeGrid(n_samples=m, window=grid.window * m / n)
+            phase = np.zeros(n)
+            a, step_energy = _split_step(
+                pump.samples[lo : lo + m].copy(), sub, fiber, steps, gamma_pump, phase, lo
+            )
+            out = np.abs(a) ** 2
+            if _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
+                samples = np.zeros(n, dtype=np.complex128)
+                samples[lo : lo + m] = a
+                break
+        m *= 2
+    else:
+        phase = np.zeros(n)
+        samples, step_energy = _split_step(
+            pump.samples.copy(), grid, fiber, steps, gamma_pump, phase, 0
+        )
+    phase *= xpm_coef * (fiber.length / steps)
+
+    pump_final = PulseEnvelope(
+        grid=grid, center_wavelength=pump.center_wavelength, samples=samples
+    )
     return XpmKernel(
         offsets=_grid_axis(grid),
         phase_vs_offset=phase,
         pump_final=pump_final,
         per_step_energy=step_energy,
         steps=steps,
+        window_samples=m,
     )
 
 
@@ -209,7 +279,7 @@ def propagate(
     signal: PulseEnvelope,
     fiber: FiberSpec,
     delay: float = 0.0,
-    steps: int = 256,
+    steps: int | None = None,
 ) -> PropagationResult:
     """Co-propagate pump and signal and accumulate the differential XPM phase.
 
@@ -223,9 +293,15 @@ def propagate(
     offset of a pump launched at `delay`), periodically, so its energy is
     preserved exactly.
 
+    `steps` is required; it has no default so that ``solver.steps`` stays
+    the one source of the step count (it keeps its place after `delay`, so
+    it can still be passed by position).
+
     Raises:
         GridMismatch: if pump and signal are sampled on different grids.
     """
+    if steps is None:
+        raise TypeError("propagate() missing required argument: 'steps'")
     if pump.grid != signal.grid:
         raise GridMismatch("pump and signal must share one time grid")
     kernel = compute_xpm_kernel(pump, fiber, steps, signal.center_wavelength)

@@ -13,6 +13,7 @@ import numpy as np
 from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
 from .propagation import (
+    WINDOW_MASS_BOUND,
     XpmKernel,
     compute_xpm_kernel,
     propagate_signal_linear,
@@ -75,9 +76,26 @@ def _cached_kernel(config: ExperimentConfig, pump_energy: float, steps: int) -> 
 
 
 @lru_cache(maxsize=16)
-def _cached_signal_weights(config: ExperimentConfig) -> np.ndarray:
+def _signal_support(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(times, weights) of the propagated signal's intensity on its support.
+
+    The support is the contiguous run of grid samples left after trimming
+    each end by at most half of ``WINDOW_MASS_BOUND`` of the total weight, so
+    an efficiency summed over it differs from the full-grid sum only by the
+    weight it leaves out. Both arrays are read-only and shared by every call
+    with `config`.
+    """
     out = propagate_signal_linear(_make_signal(config), config.fiber)
-    return np.abs(out.samples) ** 2
+    weights = np.abs(out.samples) ** 2
+    total = weights.sum()
+    cut = 0.5 * WINDOW_MASS_BOUND * total
+    lo = int(np.searchsorted(np.cumsum(weights), cut, side="right"))
+    hi = weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), cut, side="right"))
+    left_out = weights[:lo].sum() + weights[hi:].sum()
+    assert left_out <= WINDOW_MASS_BOUND * total, "signal support drops too much weight"
+    times, weights = config.grid.times[lo:hi], weights[lo:hi]
+    times.flags.writeable = weights.flags.writeable = False
+    return times, weights
 
 
 def efficiency_from_phase(
@@ -95,6 +113,14 @@ def efficiency_from_phase(
     return math.sin(2.0 * theta) ** 2 * rotated
 
 
+def _kernel_efficiency(config: ExperimentConfig, kernel: XpmKernel, delay: float) -> float:
+    """Efficiency of the pump `kernel` at `delay`, summed over the signal's
+    support; every simulated efficiency goes through here."""
+    times, weights = _signal_support(config)
+    phase = np.interp(times - delay, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0)
+    return efficiency_from_phase(weights, phase, config.geometry.theta)
+
+
 def numeric_efficiency(
     config: ExperimentConfig,
     pump_energy: float,
@@ -102,17 +128,22 @@ def numeric_efficiency(
     steps: int | None = None,
 ) -> SwitchResult:
     """Simulation-driven switching efficiency at one (energy, delay) point,
-    with `steps` pump slices (default `config.solver.steps`)."""
+    with `steps` pump slices (default `config.solver.steps`).
+
+    The efficiency is summed over the signal's support only (the weight left
+    out is at most ``WINDOW_MASS_BOUND`` of the total), exactly as in
+    `efficiency_vs_delay`; ``xpm_phase`` is the full-grid phase profile.
+    """
     if pump_energy < 0.0:
         raise ValidationError("pump_energy must be non-negative")
     steps = config.solver.steps if steps is None else steps
-    weights = _cached_signal_weights(config)
     if pump_energy == 0.0:
-        phase = np.zeros(config.grid.n_samples)
-    else:
-        kernel = _cached_kernel(config, pump_energy, steps)
-        phase = sample_xpm_phase(kernel, config.grid, delay)
-    eta = efficiency_from_phase(weights, phase, config.geometry.theta)
+        return SwitchResult(
+            eta=0.0, delay=delay, pump_energy=0.0, xpm_phase=np.zeros(config.grid.n_samples)
+        )
+    kernel = _cached_kernel(config, pump_energy, steps)
+    eta = _kernel_efficiency(config, kernel, delay)
+    phase = sample_xpm_phase(kernel, config.grid, delay)
     return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy, xpm_phase=phase)
 
 
@@ -122,16 +153,19 @@ def efficiency_vs_delay(
     delays: np.ndarray,
 ) -> np.ndarray:
     """Efficiency along a delay axis at fixed pump energy (one propagation of
-    `config.solver.steps` slices)."""
-    weights = _cached_signal_weights(config)
+    `config.solver.steps` slices).
+
+    Each delay samples the kernel's phase on the signal's support only and
+    sums the efficiency there, as `numeric_efficiency` does, so an entry
+    equals the direct call at that delay.
+    """
     delays = np.asarray(delays, dtype=float)
     if pump_energy == 0.0:
         return np.zeros(delays.shape)
     kernel = _cached_kernel(config, pump_energy, config.solver.steps)
     out = np.empty(delays.shape)
     for j, tau in enumerate(delays):
-        phase = sample_xpm_phase(kernel, config.grid, float(tau))
-        out[j] = efficiency_from_phase(weights, phase, config.geometry.theta)
+        out[j] = _kernel_efficiency(config, kernel, float(tau))
     return out
 
 

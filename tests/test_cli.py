@@ -273,6 +273,16 @@ class TestCliMain:
         assert code == 2
         assert f"config error: {section}.{key}" in capsys.readouterr().err
 
+    def test_int64_noise_overflow_is_a_config_error(self, tmp_path, capsys):
+        doc = {
+            "monte_carlo": {"pulses_per_delay": 10**18},
+            "detectors": {"noise_window_multiplier": 1e6},
+        }
+        code = main(["fock", "--config", self.write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_key_needs_strict_flag(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"pump": {"fwmh_fs": 200.0}}))

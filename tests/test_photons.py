@@ -256,6 +256,31 @@ class TestMonteCarlo:
             assert np.array_equal(short.split_events[n], base.split_events[n][:2])
             assert np.array_equal(changed.split_events[n][1], base.split_events[n][1])
 
+    def test_noise_totals_past_int64_rejected(self):
+        cfg = ks.parse_config(json.dumps({
+            "monte_carlo": {"pulses_per_delay": 10**18},
+            "detectors": {"noise_window_multiplier": 1e6},
+        }))
+        with pytest.raises(ValidationError):
+            ks.monte_carlo_experiment(
+                cfg, lambda tau: 0.5, pulses=cfg.monte_carlo.pulses_per_delay, seed=1
+            )
+
+    def test_noise_totals_exact_up_to_the_int64_bound(self):
+        cfg = ks.parse_config(json.dumps({
+            "detectors": {"noise_window_multiplier": 1e6},
+            "sweep": {"delays_ps": [0.0]},
+        }))
+        det = cfg.detectors
+        mean = (det.noise_per_pulse_switched + det.noise_per_pulse_unswitched) * 1e6
+        top = ks.photons._noise_totals(mean).size - 1
+        most = (2**63 - 1) // top
+        rec = ks.monte_carlo_experiment(cfg, lambda tau: 0.5, pulses=most, seed=3).records[0]
+        # An int64 sum that wrapped would be off by a multiple of 2**64.
+        assert rec.noise_s + rec.noise_u == pytest.approx(most * mean, rel=1e-6)
+        with pytest.raises(ValidationError):
+            ks.monte_carlo_experiment(cfg, lambda tau: 0.5, pulses=most + 1, seed=3)
+
     def test_noise_counts_recorded(self):
         cfg = _mc_config(
             detectors={

@@ -198,6 +198,12 @@ def test_grid_mismatch_rejected():
         ks.propagate(pump, signal, fiber(), steps=64)
 
 
+def test_steps_is_required():
+    pump, signal = pulses()
+    with pytest.raises(TypeError):
+        ks.propagate(pump, signal, fiber(), delay=0.0)
+
+
 def test_too_few_steps_rejected():
     pump, signal = pulses()
     with pytest.raises(ValidationError):
@@ -254,6 +260,19 @@ class TestShiftedAccumulate:
         expected = np.interp(index - shift, index, values, left=0.0, right=0.0)
         acc = np.zeros(self.N)
         ks.propagation._add_shifted(acc, values, shift, np.empty(self.N))
+        assert np.abs(acc - expected).max() <= 1e-15 * np.abs(values).max()
+
+    @pytest.mark.parametrize("offset", [0, 5, 64, 130])
+    @pytest.mark.parametrize("shift", [0.25, -2.75, 3.0, -7.0, 70.5, -70.5, 200.0])
+    def test_offset_into_a_longer_accumulator(self, offset, shift):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0.5, 2.0, self.N)
+        out_index = np.arange(4 * self.N, dtype=float)
+        expected = np.interp(
+            out_index - offset - shift, np.arange(self.N, dtype=float), values, left=0.0, right=0.0
+        )
+        acc = np.zeros(4 * self.N)
+        ks.propagation._add_shifted(acc, values, shift, np.empty(self.N), offset)
         assert np.abs(acc - expected).max() <= 1e-15 * np.abs(values).max()
 
     def test_accumulates(self):
@@ -324,3 +343,79 @@ def test_kernels_share_one_read_only_time_axis():
     k2 = ks.compute_xpm_kernel(pump, f, 32, SIG_WL)
     assert k1.offsets is k2.offsets
     assert not k1.offsets.flags.writeable
+
+
+def _kernel_vs_reference(pump, f, steps):
+    """Relative phase error of compute_xpm_kernel against the full-grid
+    reference loop, and the kernel."""
+    kernel = ks.compute_xpm_kernel(pump, f, steps, SIG_WL)
+    phase, _, _ = reference_xpm_kernel(pump, f, steps, SIG_WL)
+    assert phase.max() > 0.1
+    return np.abs(kernel.phase_vs_offset - phase).max() / np.abs(phase).max(), kernel
+
+
+@pytest.mark.parametrize("delay", [15e-12, -15e-12])
+def test_off_centre_pump_matches_reference(delay):
+    """A pump far from the grid centre lies outside every centred sub-window,
+    so the launch guard must send it to the full grid."""
+    f = fiber(beta2_pump=24e-27, walkoff=8.333e-12, n2=2.6e-20, alpha=0.5 / 0.24)
+    pump = ks.make_gaussian_pulse(grid(), PUMP_WL, 180e-15, 8e-9, delay=delay)
+    err, kernel = _kernel_vs_reference(pump, f, 32)
+    assert err <= 1e-12
+    assert kernel.window_samples == grid().n_samples
+
+
+@pytest.mark.parametrize("walkoff", [30e-12, -30e-12])
+def test_walkoff_past_the_sub_window_is_kept(walkoff):
+    """Walk-off carries the phase beyond the span the pump is propagated on;
+    the phase lands on the full grid, so none of it is cut."""
+    f = fiber(beta2_pump=24e-27, walkoff=walkoff, n2=2.6e-20)
+    pump, _ = pulses(pump_energy=4e-9)
+    err, kernel = _kernel_vs_reference(pump, f, 32)
+    assert err <= 1e-12
+    half_span = 0.5 * kernel.window_samples * grid().dt
+    assert 0.5 * abs(walkoff) * f.length > half_span
+    outside = np.abs(grid().times) > half_span
+    assert kernel.phase_vs_offset[outside].sum() > 0.1 * kernel.phase_vs_offset.sum()
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    """Default-config efficiency rows from compute_xpm_kernel and from the
+    full-grid reference loop at 4, 7.8 and 14 nJ."""
+    cfg = ks.default_config()
+    delays = np.asarray(cfg.sweep.delays)
+    signal = ks.make_gaussian_pulse(cfg.grid, cfg.signal.center_wavelength,
+                                    cfg.signal.fwhm_duration, 1e-18)
+    weights = np.abs(ks.propagation.propagate_signal_linear(signal, cfg.fiber).samples) ** 2
+    t = cfg.grid.times
+    rows = {}
+    for e in (4e-9, 7.8e-9, 14e-9):
+        pump = ks.make_gaussian_pulse(cfg.grid, cfg.pump.center_wavelength,
+                                      cfg.pump.fwhm_duration, e)
+        phase, _, _ = reference_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
+                                           cfg.signal.center_wavelength)
+        reference = [
+            ks.efficiency_from_phase(
+                weights, np.interp(t - tau, t, phase, left=0.0, right=0.0), cfg.geometry.theta
+            )
+            for tau in delays
+        ]
+        kernel = ks.compute_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
+                                       cfg.signal.center_wavelength)
+        rows[e] = (ks.efficiency_vs_delay(cfg, e, delays), np.array(reference), kernel)
+    return rows
+
+
+@pytest.mark.parametrize("energy", [4e-9, 7.8e-9, 14e-9])
+def test_default_rows_match_reference(default_rows, energy):
+    got, reference, _ = default_rows[energy]
+    assert reference.max() > 0.1
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("energy", [4e-9, 7.8e-9, 14e-9])
+def test_default_kernels_use_a_sub_window(default_rows, energy):
+    kernel = default_rows[energy][2]
+    assert kernel.window_samples < ks.default_config().grid.n_samples
+    assert kernel.pump_final.samples.shape == (ks.default_config().grid.n_samples,)
