@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import typing
 import warnings
 from collections import namedtuple
@@ -119,17 +120,38 @@ def _merge(defaults, given, path, strict):
     return merged
 
 
+class _Number(float):
+    """A JSON float that keeps the literal it was read from.
+
+    A literal can carry more digits than its double's shortest repr, and
+    those digits can decide the double of the shifted literal.
+    """
+
+    def __new__(cls, literal: str):
+        number = super().__new__(cls, literal)
+        number.literal = literal
+        return number
+
+
+def _shifted_literal(value, exponent: int) -> str:
+    """The number literal of `value` x 10**exponent.
+
+    `value` is spelled as its document literal if it has one, else as its
+    shortest repr, and the decimal exponent of that spelling is shifted.
+    """
+    text = value.literal if isinstance(value, _Number) else repr(value)
+    mantissa, _, power = text.lower().partition("e")
+    return f"{mantissa}e{int(power or 0) + exponent}"
+
+
 def _shift(value, exponent: int) -> float:
     """The double nearest to `value` x 10**exponent.
 
-    The decimal exponent of the number's shortest repr is shifted, so the
-    result is the double of the literal `f"{value!r}e{exponent}"` (6.0 nJ is
-    6e-9 J exactly), where `value * 10.0**exponent` can land one ulp off. A
-    finite float or int never makes this raise; a result too large for a
-    double is inf.
+    The result is the double of the shifted literal (6.0 nJ is 6e-9 J
+    exactly), where `value * 10.0**exponent` can land one ulp off. A finite
+    number never makes this raise; a result too large for a double is inf.
     """
-    mantissa, _, power = repr(value).partition("e")
-    return float(f"{mantissa}e{int(power or 0) + exponent}")
+    return float(_shifted_literal(value, exponent))
 
 
 def _si(value, exponent: int, label: str) -> float:
@@ -187,7 +209,7 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
         given: dict = {}
     else:
         try:
-            given = json.loads(text)
+            given = json.loads(text, parse_float=_Number)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         except ValueError as exc:  # an integer literal past Python's digit limit
@@ -205,19 +227,22 @@ def default_config() -> ExperimentConfig:
     return parse_config("")
 
 
-def _inverse(value: float, exponent: int) -> float:
+def _inverse(value: float, exponent: int) -> float | str:
     """Bench-unit value x that parses back to the SI `value` exactly.
 
     Shifting the exponent back usually gives x, and the shortest one (7.5e-9 J
     is 7.5 nJ); where it lands one ulp off the forward conversion, nudging by
     an ulp restores an exact parse/emit round trip. Near the top of the double
-    range the shift back can round to inf, whose neighbour below is x.
+    range the shift back can round to inf, whose neighbour below is x. Where
+    no double's shortest repr shifts to `value` (32135522.020932112e-9 m needs
+    17 digits, but the nearest nm double prints with 16), x is the shifted
+    literal itself, as a string that `emit_config` writes unquoted.
     """
     x = _shift(value, -exponent)
     for candidate in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
         if math.isfinite(candidate) and _shift(candidate, exponent) == value:
             return candidate
-    return x
+    return _shifted_literal(value, -exponent)
 
 
 def _emitted(row: _Field, config: ExperimentConfig):
@@ -233,7 +258,10 @@ def _emitted(row: _Field, config: ExperimentConfig):
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config back to the JSON document schema (bench units)."""
     doc = _document(lambda row: _emitted(row, config))
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    # Every document value is a number, so a quoted value is a literal from
+    # `_inverse`; unquoting it writes it as the number it spells.
+    return re.sub(r'"(-?\d[^"]*)"', r"\1", text) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -241,6 +241,24 @@ class TestRoundTrip:
         again = ks.parse_config(ks.emit_config(cfg))
         assert again == cfg
 
+    def test_value_no_bench_double_spells_round_trips(self):
+        # 32135522020932111 nm is 32135522.020932112 m: 17 digits, while the
+        # nearest nm double prints as 3.213552202093211e+16.
+        cfg = ks.parse_config(json.dumps({"pump": {"wavelength_nm": 32135522020932111}}))
+        assert cfg.pump.center_wavelength == 32135522.020932112
+        text = ks.emit_config(cfg)
+        assert '"wavelength_nm": 32135522.020932112e9' in text
+        again = ks.parse_config(text)
+        assert again == cfg
+        assert ks.config_hash(again) == ks.config_hash(cfg)
+
+    def test_document_literal_digits_decide_the_si_double(self):
+        # The double of 32135522020932112.0 prints with one digit fewer; the
+        # literal, not that repr, is what is shifted to SI.
+        cfg = ks.parse_config('{"pump": {"wavelength_nm": 32135522020932112.0}}')
+        assert cfg.pump.center_wavelength == 32135522.020932112
+        assert ks.parse_config('{"pump": {"energy_nj": 6E0}}').pump.energy == 6e-9
+
     def test_any_accepted_document_round_trips_with_its_hash(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
