@@ -31,10 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file (defaults used if omitted)")
         p.add_argument("--out", metavar="DIR", help=f"output directory (default ${_OUT_ENV} or ./kerrswitch-out)")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config rng_seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, metavar="N",
-                       help="sweep rows run on up to N threads in one process (fock "
-                            "ignores N); output is byte-identical for any N "
-                            "(default: available cores)")
         p.add_argument("--strict", action="store_true",
                        help="reject unknown config keys instead of warning")
 
@@ -80,7 +76,7 @@ def main(argv=None) -> int:
             return 0
         out = _out_dir(args)
         if args.command == "sweep":
-            manifest = cmd_sweep(config, out, workers=max(1, args.workers))
+            manifest = cmd_sweep(config, out)
         elif args.command == "fock":
             manifest = cmd_fock(config, out, n_max=args.n_max)
         elif args.command == "spectrum":

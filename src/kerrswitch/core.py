@@ -1,8 +1,7 @@
 """Physical units, time grids, pulse envelopes, and the shared experiment configuration.
 
 All quantities are SI internally: seconds, meters, joules, watts, radians.
-Every type here is an immutable value; instances are safe to share between
-concurrent workers.
+Every type here is an immutable value.
 """
 
 from __future__ import annotations

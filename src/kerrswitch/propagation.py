@@ -122,7 +122,7 @@ def _norm2(x: np.ndarray) -> float:
     """sum(|x|^2) of a complex array.
 
     einsum, not np.vdot: OpenBLAS runs a dot product this long on threads
-    that spin while they wait, which contend with the sweep's row threads.
+    that spin while they wait, burning cores that do no other work.
     """
     flat = x.view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
@@ -220,27 +220,25 @@ def compute_xpm_kernel(
     launch = np.abs(pump.samples) ** 2
     bound = WINDOW_MASS_BOUND * launch.sum()
     m = _MIN_WINDOW
-    while m < n:
+    while True:
         lo = (n - m) // 2
+        whole = m == n
         inside = launch[lo : lo + m]
-        if launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound:
+        if whole or (
+            launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound
+        ):
             # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
-            sub = TimeGrid(n_samples=m, window=grid.window * m / n)
+            sub = grid if whole else TimeGrid(n_samples=m, window=grid.window * m / n)
             phase = np.zeros(n)
             a, step_energy = _split_step(
                 pump.samples[lo : lo + m].copy(), sub, fiber, steps, gamma_pump, phase, lo
             )
             out = np.abs(a) ** 2
-            if _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
-                samples = np.zeros(n, dtype=np.complex128)
-                samples[lo : lo + m] = a
+            if whole or _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
                 break
         m *= 2
-    else:
-        phase = np.zeros(n)
-        samples, step_energy = _split_step(
-            pump.samples.copy(), grid, fiber, steps, gamma_pump, phase, 0
-        )
+    samples = np.zeros(n, dtype=np.complex128)
+    samples[lo : lo + m] = a
     phase *= xpm_coef * (fiber.length / steps)
 
     pump_final = PulseEnvelope(

@@ -123,12 +123,14 @@ class _Run:
         return manifest
 
 
-def cmd_sweep(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
+def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     """Efficiency surface over the configured grid, plus slices and metrics.
 
     Writes surface.csv (rows are delays, columns are pump energies),
     slices.csv (the zero-delay energy slice and the calibrated-energy delay
-    slice), metrics.json, and manifest.json.
+    slice), metrics.json, and manifest.json. Everything runs on the calling
+    thread; the convergence check, the surface rows, calibration and the
+    slices share one kernel cache.
 
     Raises:
         NonConvergence: if the step-doubling residual at the operating point
@@ -137,7 +139,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifes
     run = _Run(config, out_dir)
     check_convergence(config, config.pump.energy, 0.0)
 
-    surface = sweep_surface(config, workers=workers)
+    surface = sweep_surface(config)
     energies = surface.energies
     delays = surface.delays
     header = ["delay_ps\\energy_nJ"] + [_fmt(e / _NJ) for e in energies]

@@ -4,7 +4,6 @@ pump-energy calibration, delay sweeps, and temporal-resolution metrics."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -106,7 +105,7 @@ def efficiency_from_phase(
     Each temporal slice of the signal undergoes its own polarization rotation;
     the port split is the intensity-weighted average of the pointwise
     closed-form efficiency. The weighted sum is an einsum, not np.dot, which
-    would hand it to OpenBLAS threads that spin against the sweep's row threads.
+    would hand it to OpenBLAS threads that spin while they wait and burn cores.
     """
     total = signal_weights.sum()
     rotated = float(np.einsum("i,i->", signal_weights, np.sin(0.5 * xpm_phase) ** 2) / total)
@@ -172,21 +171,14 @@ def efficiency_vs_delay(
 def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     """Efficiency over the configured (energy, delay) grid.
 
-    Rows (fixed energy) are independent, so they run on up to `workers`
-    threads in this process; the FFTs and array operations of the pump kernel
-    release the interpreter lock, so rows overlap. Every kernel lands in this
-    process's kernel cache, where calibration and the slices find it. Each
-    row is computed by the identical serial code path and rows are assembled
-    in axis order, making the result bitwise independent of the worker count.
+    One `efficiency_vs_delay` row per energy, in axis order, on the calling
+    thread. Every kernel lands in the shared kernel cache, where calibration
+    and the slices find it. `workers` is accepted for callers that pass it
+    (perfbench's probes do) and changes nothing.
     """
     energies = np.asarray(config.sweep.energies, dtype=float)
     delays = np.asarray(config.sweep.delays, dtype=float)
-
-    def row(pump_energy: float) -> np.ndarray:
-        return efficiency_vs_delay(config, float(pump_energy), delays)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(row, energies))
+    rows = [efficiency_vs_delay(config, float(e), delays) for e in energies]
     return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
 
 

@@ -61,3 +61,7 @@ def test_probe_calls_resolve():
 
 def test_monte_carlo_accepts_workers():
     assert "workers" in inspect.signature(ks.monte_carlo_experiment).parameters
+
+
+def test_sweep_surface_accepts_workers():
+    assert "workers" in inspect.signature(ks.sweep_surface).parameters

@@ -3,7 +3,6 @@ byte determinism."""
 
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -84,44 +83,34 @@ class TestCmdSweep:
 
     def test_rerun_is_byte_identical(self, small_cfg, tmp_path):
         ks.cmd_sweep(small_cfg, tmp_path / "a")
-        ks.cmd_sweep(small_cfg, tmp_path / "b", workers=2)
+        ks.cmd_sweep(small_cfg, tmp_path / "b")
         for name in ("surface.csv", "slices.csv", "metrics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
     """Sweep rows, calibration, slices and the convergence check share one
-    kernel cache: no (energy, steps) pump kernel is computed twice. The
-    counter lives in shared memory, so calls made in forked workers count."""
+    kernel cache: no (energy, steps) pump kernel is computed twice."""
     doc = dict(SMALL_DOC, sweep={
         "energies_nj": [float(e) for e in range(17)],
         "delays_ps": [round(-4.0 + 0.5 * i, 10) for i in range(17)],
     })
     cfg = ks.parse_config(json.dumps(doc))
-    capacity = 256
-    calls = multiprocessing.Value("i", 0)
-    keys = multiprocessing.Array("d", 2 * capacity)
+    keys = []
     compute = ks.switch.compute_xpm_kernel
 
     def counting(pump, fiber, steps, signal_wavelength):
-        with calls.get_lock():
-            i = calls.value
-            calls.value += 1
-        if i < capacity:
-            keys[2 * i] = ks.energy(pump)
-            keys[2 * i + 1] = steps
+        keys.append((ks.energy(pump), steps))
         return compute(pump, fiber, steps, signal_wavelength)
 
     monkeypatch.setattr(ks.switch, "compute_xpm_kernel", counting)
     ks.switch._cached_kernel.cache_clear()
     try:
-        ks.cmd_sweep(cfg, tmp_path, workers=2)
+        ks.cmd_sweep(cfg, tmp_path)
     finally:
         ks.switch._cached_kernel.cache_clear()
-    count = calls.value
-    assert 0 < count <= capacity
-    distinct = {(keys[2 * i], keys[2 * i + 1]) for i in range(count)}
-    assert count == len(distinct)
+    assert keys
+    assert len(keys) == len(set(keys))
 
 
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):
@@ -293,7 +282,7 @@ class TestCliMain:
     def test_sweep_command_end_to_end(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         out = tmp_path / "out"
-        code = main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", "1"])
+        code = main(["sweep", "--config", cfg_path, "--out", str(out)])
         assert code == 0
         assert (out / "surface.csv").exists()
         assert "manifest" in capsys.readouterr().out
@@ -316,7 +305,7 @@ class TestCliMain:
 
     def test_seed_flag_changes_monte_carlo(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
-        base = ["fock", "--config", cfg_path, "--n-max", "1", "--workers", "1"]
+        base = ["fock", "--config", cfg_path, "--n-max", "1"]
         assert main(base + ["--out", str(tmp_path / "s1"), "--seed", "1"]) == 0
         assert main(base + ["--out", str(tmp_path / "s2"), "--seed", "2"]) == 0
         assert main(base + ["--out", str(tmp_path / "s1b"), "--seed", "1"]) == 0

@@ -3,7 +3,7 @@ temporal metrics."""
 
 import json
 import math
-import sys
+import threading
 
 import numpy as np
 import pytest
@@ -214,33 +214,19 @@ class TestSweepSurface:
         assert np.all(np.diff(etas[: peak + 1]) > 0.0)
         assert etas[-1] < etas[peak]
 
-    def test_parallel_matches_serial(self):
-        doc = {
-            "sweep": {"energies_nj": [2.0, 5.0, 8.0], "delays_ps": [-1.0, 0.0, 0.5, 1.0]},
-            "solver": {"steps": 64},
-            "grid": {"n_samples": 4096, "window_ps": 40.0},
-        }
-        cfg = ks.parse_config(json.dumps(doc))
-        serial = ks.sweep_surface(cfg, workers=1)
-        parallel = ks.sweep_surface(cfg, workers=2)
-        assert np.array_equal(serial.eta_grid, parallel.eta_grid)
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sweep_surface started a thread")
 
-    def test_more_threads_than_rows_match_serial(self):
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         doc = {
-            "sweep": {"energies_nj": [1.0, 3.0, 5.0, 7.0, 9.0], "delays_ps": [-0.5, 0.0, 0.5]},
+            "sweep": {"energies_nj": [1.0, 3.0, 5.0], "delays_ps": [-0.5, 0.0, 0.5]},
             "solver": {"steps": 16},
             "grid": {"n_samples": 1024, "window_ps": 20.0},
         }
         cfg = ks.parse_config(json.dumps(doc))
-        serial = ks.sweep_surface(cfg, workers=1)
-        ks.switch._cached_kernel.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = ks.sweep_surface(cfg, workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(serial.eta_grid, threaded.eta_grid)
+        surface = ks.sweep_surface(cfg, workers=2)
+        assert surface.eta_grid.shape == (3, 3)
 
     def test_values_in_unit_interval(self, default_cfg):
         doc = {"sweep": {"energies_nj": [0.0, 4.0, 8.0, 12.0], "delays_ps": [-2.0, 0.0, 2.0]}}
