@@ -30,6 +30,7 @@ from .propagation import (
     XpmKernel,
     clip_spectrum_support,
     compute_xpm_kernel,
+    compute_xpm_kernels,
     nonlinear_coefficient,
     propagate,
     pump_spectrum,
@@ -46,6 +47,7 @@ from .switch import (
     full_width,
     nonlinear_phase,
     numeric_efficiency,
+    pump_output_spectra,
     pump_output_spectrum,
     sweep_surface,
     temporal_resolution,
@@ -97,6 +99,7 @@ __all__ = [
     "cmd_spectrum",
     "cmd_sweep",
     "compute_xpm_kernel",
+    "compute_xpm_kernels",
     "config_hash",
     "convergence_residual",
     "default_config",
@@ -118,6 +121,7 @@ __all__ = [
     "numeric_efficiency",
     "parse_config",
     "propagate",
+    "pump_output_spectra",
     "pump_output_spectrum",
     "pump_spectrum",
     "snr",

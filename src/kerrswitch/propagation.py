@@ -13,6 +13,7 @@ zero delay means the walk-through is centered on the signal.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,44 +89,58 @@ def _add_shifted(
     acc: np.ndarray, values: np.ndarray, shift: float, work: np.ndarray, offset: int = 0
 ) -> None:
     """Add `values`, placed at index `offset` of `acc` and delayed by `shift`
-    samples, to `acc`, zero-filled.
+    samples, to `acc`, zero-filled, along the last axis.
 
     Equals ``acc += np.interp(k - offset - shift, j, values, left=0, right=0)``
     on the sample indices k of `acc` and j of `values`: one integer offset plus
     a two-tap linear blend. Output samples whose source index falls outside
     `values` get nothing, and so do shifts past the ends of `acc`, so a shift
-    never wraps around. `work` is scratch of at least ``values.size``.
+    never wraps around. Stacked rows (``values`` of shape ``(b, m)`` into
+    ``acc`` of shape ``(b, n)``) are blended and summed each on its own, with
+    the same result as one call per row. `work` is scratch at least the shape
+    of `values`.
     """
-    m, n = values.size, acc.size
+    m, n = values.shape[-1], acc.shape[-1]
     whole = math.floor(shift)
     frac = shift - whole
     whole += offset
     if frac == 0.0:
         lo, hi = max(whole, 0), min(whole + m, n)
         if lo < hi:
-            acc[lo:hi] += values[lo - whole : hi - whole]
+            acc[..., lo:hi] += values[..., lo - whole : hi - whole]
         return
     # Sample j lies between source taps j - whole - 1 (weight frac) and
     # j - whole (weight 1 - frac); both must be inside `values`.
     lo, hi = max(whole + 1, 0), min(whole + m, n)
     if lo >= hi:
         return
-    near = values[lo - whole : hi - whole]
-    blend = work[: hi - lo]
-    np.subtract(values[lo - whole - 1 : hi - whole - 1], near, out=blend)
+    near = values[..., lo - whole : hi - whole]
+    blend = work[..., : hi - lo]
+    np.subtract(values[..., lo - whole - 1 : hi - whole - 1], near, out=blend)
     blend *= frac
     blend += near
-    acc[lo:hi] += blend
+    acc[..., lo:hi] += blend
 
 
-def _norm2(x: np.ndarray) -> float:
-    """sum(|x|^2) of a complex array.
+# Longest row, in float64 values, that one stacked einsum sums exactly as it
+# sums the row alone. Past numpy's 8192-element iterator buffer a multi-row
+# einsum splits each row into chunks, which changes its rounding.
+_EINSUM_ROW = 8192
+
+
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """sum(|x|^2) of each row of a complex ``(b, m)`` array.
 
     einsum, not np.vdot: OpenBLAS runs a dot product this long on threads
-    that spin while they wait, burning cores that do no other work.
+    that spin while they wait, burning cores that do no other work. Rows too
+    long for one stacked einsum to sum as it sums a lone row (see
+    ``_EINSUM_ROW``) are summed one at a time; at that length the FFTs, not
+    the extra calls, set the cost.
     """
     flat = x.view(np.float64)
-    return float(np.einsum("i,i->", flat, flat))
+    if flat.shape[-1] <= _EINSUM_ROW:
+        return np.einsum("bi,bi->b", flat, flat)
+    return np.array([np.einsum("i,i->", row, row) for row in flat])
 
 
 def _edge_mass(intensity: np.ndarray) -> float:
@@ -134,40 +149,60 @@ def _edge_mass(intensity: np.ndarray) -> float:
     return float(intensity[:edge].sum() + intensity[-edge:].sum())
 
 
+def _launch_window(launch: np.ndarray, m: int, bound: float) -> int:
+    """Smallest centred power-of-two window of at least `m` samples that
+    passes the launch guards for a pump of intensity `launch`: at most `bound`
+    of its energy outside, and at most `bound` in the window's outer 1/16.
+    The whole grid, unguarded, when no smaller window passes."""
+    n = launch.size
+    while m < n:
+        lo = (n - m) // 2
+        inside = launch[lo : lo + m]
+        if launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound:
+            return m
+        m *= 2
+    return n
+
+
 def _split_step(
     a: np.ndarray,
     grid: TimeGrid,
     fiber: FiberSpec,
     steps: int,
-    gamma_pump: float,
+    gamma_pump: np.ndarray,
     phase: np.ndarray,
     offset: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the time-domain pump `a` (sampled on `grid`, overwritten) over
-    `steps` slices, adding each slice's walked-off intensity into `phase` from
-    index `offset`. Returns the output pump and the energy at launch and after
-    each slice."""
+    """Propagate the ``(b, m)`` time-domain pumps `a` (each row sampled on
+    `grid`, overwritten) over `steps` slices, one slice loop for all rows.
+    Row r has Kerr coefficient ``gamma_pump[r, 0]`` and adds each slice's
+    walked-off intensity into ``phase[r]`` from index `offset`. Rows never mix:
+    each comes out bit for bit as it would in a batch of one. Returns the
+    output pumps and each row's energy at launch and after each slice."""
     n = grid.n_samples
     dz = fiber.length / steps
     half = _linear_factor(grid.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz)
     full = half * half
     # |half|^2 is this uniform factor: only loss changes the energy.
     half_loss = math.exp(-0.5 * fiber.alpha * dz)
+    gamma_dz = gamma_pump * dz
 
     # Work buffers, reused by every slice; the FFTs run in place on `a`.
-    intensity = np.empty(n)
-    work = np.empty(n)
-    rotation = np.empty(n, dtype=np.complex128)
-    step_energy = np.empty(steps + 1)
+    intensity = np.empty(a.shape)
+    work = np.empty(a.shape)
+    rotation = np.empty(a.shape, dtype=np.complex128)
+    # sum(|a|^2) of each row, at launch (time domain) and after each slice
+    # (frequency domain).
+    norms = np.empty((steps + 1, a.shape[0]))
 
-    step_energy[0] = _norm2(a) * grid.dt
+    norms[0] = _norm2(a)
     a = scipy.fft.fft(a, overwrite_x=True)
     a *= half
     for k in range(steps):
         a = scipy.fft.ifft(a, overwrite_x=True)
         np.abs(a, out=intensity)
         intensity *= intensity
-        np.multiply(intensity, gamma_pump * dz, out=work)
+        np.multiply(intensity, gamma_dz, out=work)
         np.cos(work, out=rotation.real)
         np.sin(work, out=rotation.imag)
         a *= rotation
@@ -175,20 +210,24 @@ def _split_step(
         shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length)
         _add_shifted(phase, intensity, shift / grid.dt, work, offset)
         a = scipy.fft.fft(a, overwrite_x=True)
-        # Energy at the end of this slice (Parseval, then the closing half
-        # step's loss); that half step merges with the next slice's opening one.
-        step_energy[k + 1] = _norm2(a) * half_loss * grid.dt / n
+        norms[k + 1] = _norm2(a)
         a *= full if k + 1 < steps else half
+    step_energy = np.empty((a.shape[0], steps + 1))
+    step_energy[:, 0] = norms[0] * grid.dt
+    # Energy at the end of each slice (Parseval, then the closing half step's
+    # loss); that half step merges with the next slice's opening one.
+    step_energy[:, 1:] = (norms[1:] * half_loss * grid.dt / n).T
     return scipy.fft.ifft(a, overwrite_x=True), step_energy
 
 
-def compute_xpm_kernel(
-    pump: PulseEnvelope,
+def compute_xpm_kernels(
+    pumps: Sequence[PulseEnvelope],
     fiber: FiberSpec,
     steps: int,
     signal_wavelength: float,
-) -> XpmKernel:
-    """Propagate the pump alone and integrate the swept differential phase.
+) -> list[XpmKernel]:
+    """Propagate each pump alone and integrate its swept differential phase;
+    one kernel per pump, in order.
 
     Uses the symmetric split-step scheme (half dispersion / nonlinear / half
     dispersion) on `steps` uniform z-slices. The half-dispersion steps that
@@ -199,7 +238,7 @@ def compute_xpm_kernel(
     ``per_step_energy`` holds the pump energy at launch and after each of
     the `steps` slices.
 
-    The pump is propagated on the smallest power-of-two sub-window, centred
+    Each pump is propagated on the smallest power-of-two sub-window, centred
     in the grid and at its ``dt``, that passes two guards: at launch at most
     ``WINDOW_MASS_BOUND`` of the pump energy lies outside the sub-window, and
     its outer 1/16 holds at most that fraction of the energy both at launch
@@ -208,50 +247,77 @@ def compute_xpm_kernel(
     a kernel without the search would. The walked-off phase is accumulated
     straight into the full-grid ``phase_vs_offset``, so walk-off past the
     sub-window is kept, and ``pump_final`` is zero-padded back to the grid.
+
+    Pumps whose next try has the same window size run through one split-step
+    loop together, smallest size first; those that fail the end-of-fiber
+    guard join the next doubling's batch. A pump's kernel is bit for bit the
+    same whatever else is in the batch.
+
+    Raises:
+        GridMismatch: if the pumps are sampled on different grids.
     """
     if steps < 8:
         raise ValidationError("steps must be >= 8")
-    grid = pump.grid
+    if not pumps:
+        return []
+    grid = pumps[0].grid
+    if any(p.grid != grid for p in pumps):
+        raise GridMismatch("pumps must share one time grid")
     n = grid.n_samples
-    gamma_pump = nonlinear_coefficient(fiber.n2, pump.center_wavelength, fiber.a_eff)
+    dz = fiber.length / steps
     xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
-    launch = np.abs(pump.samples) ** 2
-    bound = WINDOW_MASS_BOUND * launch.sum()
-    m = _MIN_WINDOW
-    while True:
+    launch = [np.abs(p.samples) ** 2 for p in pumps]
+    bound = [WINDOW_MASS_BOUND * x.sum() for x in launch]
+    # Window size -> indices of the pumps whose next try runs at that size.
+    tries: dict[int, list[int]] = {}
+    for i in range(len(pumps)):
+        tries.setdefault(_launch_window(launch[i], _MIN_WINDOW, bound[i]), []).append(i)
+    kernels: list[XpmKernel | None] = [None] * len(pumps)
+    while tries:
+        m = min(tries)
+        rows = tries.pop(m)
         lo = (n - m) // 2
-        whole = m == n
-        inside = launch[lo : lo + m]
-        if whole or (
-            launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound
-        ):
-            # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
-            sub = grid if whole else TimeGrid(n_samples=m, window=grid.window * m / n)
-            phase = np.zeros(n)
-            a, step_energy = _split_step(
-                pump.samples[lo : lo + m].copy(), sub, fiber, steps, gamma_pump, phase, lo
+        # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
+        sub = grid if m == n else TimeGrid(n_samples=m, window=grid.window * m / n)
+        gamma = np.array(
+            [[nonlinear_coefficient(fiber.n2, pumps[i].center_wavelength, fiber.a_eff)]
+             for i in rows]
+        )
+        phase = np.zeros((len(rows), n))
+        a, step_energy = _split_step(
+            np.stack([pumps[i].samples[lo : lo + m] for i in rows]),
+            sub, fiber, steps, gamma, phase, lo,
+        )
+        for r, i in enumerate(rows):
+            out = np.abs(a[r]) ** 2
+            if m < n and not _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
+                tries.setdefault(_launch_window(launch[i], 2 * m, bound[i]), []).append(i)
+                continue
+            samples = np.zeros(n, dtype=np.complex128)
+            samples[lo : lo + m] = a[r]
+            kernels[i] = XpmKernel(
+                offsets=_grid_axis(grid),
+                phase_vs_offset=phase[r] * (xpm_coef * dz),
+                pump_final=PulseEnvelope(
+                    grid=grid, center_wavelength=pumps[i].center_wavelength, samples=samples
+                ),
+                per_step_energy=step_energy[r],
+                steps=steps,
+                window_samples=m,
             )
-            out = np.abs(a) ** 2
-            if whole or _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
-                break
-        m *= 2
-    samples = np.zeros(n, dtype=np.complex128)
-    samples[lo : lo + m] = a
-    phase *= xpm_coef * (fiber.length / steps)
+    return kernels
 
-    pump_final = PulseEnvelope(
-        grid=grid, center_wavelength=pump.center_wavelength, samples=samples
-    )
-    return XpmKernel(
-        offsets=_grid_axis(grid),
-        phase_vs_offset=phase,
-        pump_final=pump_final,
-        per_step_energy=step_energy,
-        steps=steps,
-        window_samples=m,
-    )
+
+def compute_xpm_kernel(
+    pump: PulseEnvelope,
+    fiber: FiberSpec,
+    steps: int,
+    signal_wavelength: float,
+) -> XpmKernel:
+    """The kernel of one pump: `compute_xpm_kernels` on a batch of one."""
+    return compute_xpm_kernels([pump], fiber, steps, signal_wavelength)[0]
 
 
 def sample_xpm_phase(kernel: XpmKernel, grid: TimeGrid, delay: float) -> np.ndarray:

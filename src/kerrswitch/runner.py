@@ -21,8 +21,8 @@ from .config_io import config_hash, emit_config
 from .core import ExperimentConfig, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, ValidationError
 from .photons import binomial_split, monte_carlo_experiment
-# `propagate` is no longer called here; perfbench's tracer wraps it under
-# this module's name, so the binding stays.
+# `propagate` and `pump_output_spectrum` are no longer called here;
+# perfbench's tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     clip_spectrum_support,
     propagate,
@@ -36,6 +36,7 @@ from .switch import (
     full_width,
     flat_top_span,
     numeric_efficiency,
+    pump_output_spectra,
     pump_output_spectrum,
     sweep_surface,
     temporal_resolution,
@@ -129,17 +130,19 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     Writes surface.csv (rows are delays, columns are pump energies),
     slices.csv (the zero-delay energy slice and the calibrated-energy delay
     slice), metrics.json, and manifest.json. Everything runs on the calling
-    thread; the convergence check, the surface rows, calibration and the
-    slices share one kernel cache.
+    thread; the surface rows, the convergence check, calibration and the
+    slices share one kernel cache. The surface's kernels are propagated as
+    one batch first, so the check's kernel at ``solver.steps`` comes from it
+    when the operating energy is on the sweep axis.
 
     Raises:
         NonConvergence: if the step-doubling residual at the operating point
-            exceeds 1e-3.
+            exceeds 1e-3; then no artifact is written.
     """
     run = _Run(config, out_dir)
+    surface = sweep_surface(config)
     check_convergence(config, config.pump.energy, 0.0)
 
-    surface = sweep_surface(config)
     energies = surface.energies
     delays = surface.delays
     header = ["delay_ps\\energy_nJ"] + [_fmt(e / _NJ) for e in energies]
@@ -285,8 +288,7 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
 
     spectra_rows = []
     metric_rows = []
-    for e in energies:
-        wl, density = pump_output_spectrum(config, float(e))
+    for e, (wl, density) in zip(energies, pump_output_spectra(config, energies)):
         wl_c, density_c = clip_spectrum_support(wl, density)
         spectra_rows.extend(
             [e / _NJ, wl_c[i], density_c[i]] for i in range(wl_c.size)

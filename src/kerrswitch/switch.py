@@ -4,6 +4,8 @@ pump-energy calibration, delay sweeps, and temporal-resolution metrics."""
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -11,10 +13,14 @@ import numpy as np
 
 from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
+# `compute_xpm_kernel` is not called here (kernels come from
+# `compute_xpm_kernels`); perfbench's tracer wraps it under this module's
+# name, so the binding stays.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
     compute_xpm_kernel,
+    compute_xpm_kernels,
     propagate_signal_linear,
     pump_spectrum,
     sample_xpm_phase,
@@ -68,10 +74,60 @@ def _make_signal(config: ExperimentConfig) -> PulseEnvelope:
     )
 
 
-@lru_cache(maxsize=64)
+# Pump kernels by (config, pump energy, steps), least recently used first.
+_KERNEL_CACHE_SIZE = 64
+_kernel_cache: OrderedDict[tuple[ExperimentConfig, float, int], XpmKernel] = OrderedDict()
+
+
+def _cached_kernels(
+    config: ExperimentConfig, pump_energies: Iterable[float], steps: int
+) -> list[XpmKernel]:
+    """The kernel at `steps` slices of each (non-zero) energy in
+    `pump_energies`, in order.
+
+    Every kernel the cache lacks is computed in one `compute_xpm_kernels`
+    batch, then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently
+    used kernels; a call for more energies than that still returns them all.
+    """
+    keys = [(config, float(e), steps) for e in pump_energies]
+    missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
+    if missing:
+        pumps = [_make_pump(config, e) for _, e, _ in missing]
+        computed = compute_xpm_kernels(
+            pumps, config.fiber, steps, config.signal.center_wavelength
+        )
+        _kernel_cache.update(zip(missing, computed))
+    kernels = []
+    for key in keys:
+        _kernel_cache.move_to_end(key)
+        kernels.append(_kernel_cache[key])
+    while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
+    return kernels
+
+
 def _cached_kernel(config: ExperimentConfig, pump_energy: float, steps: int) -> XpmKernel:
-    pump = _make_pump(config, pump_energy)
-    return compute_xpm_kernel(pump, config.fiber, steps, config.signal.center_wavelength)
+    return _cached_kernels(config, [pump_energy], steps)[0]
+
+
+def _ladder_kernels(
+    config: ExperimentConfig, pump_energies: Iterable[float]
+) -> Iterator[XpmKernel | None]:
+    """The kernel at ``config.solver.steps`` of each energy in order, None
+    at zero energy.
+
+    The energies are taken in blocks of `_KERNEL_CACHE_SIZE`, and each
+    block's missing kernels are computed as one batch, so a ladder of any
+    length holds at most one block of kernels at a time.
+    """
+    energies = [float(e) for e in pump_energies]
+    for start in range(0, len(energies), _KERNEL_CACHE_SIZE):
+        block = energies[start : start + _KERNEL_CACHE_SIZE]
+        kernels = iter(
+            _cached_kernels(config, [e for e in block if e != 0.0], config.solver.steps)
+        )
+        for e in block:
+            yield None if e == 0.0 else next(kernels)
 
 
 @lru_cache(maxsize=16)
@@ -159,26 +215,35 @@ def efficiency_vs_delay(
     equals the direct call at that delay.
     """
     delays = np.asarray(delays, dtype=float)
-    if pump_energy == 0.0:
-        return np.zeros(delays.shape)
-    kernel = _cached_kernel(config, pump_energy, config.solver.steps)
-    out = np.empty(delays.shape)
-    for j, tau in enumerate(delays):
-        out[j] = _kernel_efficiency(config, kernel, float(tau))
+    kernel = None
+    if pump_energy != 0.0:
+        kernel = _cached_kernel(config, pump_energy, config.solver.steps)
+    return _efficiency_row(config, kernel, delays)
+
+
+def _efficiency_row(
+    config: ExperimentConfig, kernel: XpmKernel | None, delays: np.ndarray
+) -> np.ndarray:
+    """Efficiency of the pump `kernel` (None: no pump) at each of `delays`."""
+    out = np.zeros(delays.shape)
+    if kernel is not None:
+        for j, tau in enumerate(delays):
+            out[j] = _kernel_efficiency(config, kernel, float(tau))
     return out
 
 
 def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     """Efficiency over the configured (energy, delay) grid.
 
-    One `efficiency_vs_delay` row per energy, in axis order, on the calling
-    thread. Every kernel lands in the shared kernel cache, where calibration
-    and the slices find it. `workers` is accepted for callers that pass it
-    (perfbench's probes do) and changes nothing.
+    The kernels of every energy are propagated as one batch, then each row
+    is evaluated as `efficiency_vs_delay` would, in axis order, on the
+    calling thread. Every kernel lands in the shared kernel cache, where
+    calibration and the slices find it. `workers` is accepted for callers
+    that pass it (perfbench's probes do) and changes nothing.
     """
     energies = np.asarray(config.sweep.energies, dtype=float)
     delays = np.asarray(config.sweep.delays, dtype=float)
-    rows = [efficiency_vs_delay(config, float(e), delays) for e in energies]
+    rows = [_efficiency_row(config, k, delays) for k in _ladder_kernels(config, energies)]
     return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
 
 
@@ -202,7 +267,11 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
         coarse = np.sort(energies)
     else:
         coarse = np.linspace(lo, hi, 17)
-    etas = np.array([numeric_efficiency(config, float(e), 0.0).eta for e in coarse])
+    # The scan's kernels come as one batch; each eta equals numeric_efficiency's.
+    etas = np.array([
+        0.0 if k is None else _kernel_efficiency(config, k, 0.0)
+        for k in _ladder_kernels(config, coarse)
+    ])
     best = int(np.argmax(etas))
     if etas[best] <= 0.5:
         raise NoBracket(
@@ -229,10 +298,18 @@ def pump_output_spectrum(
     A zero launch energy returns the transform-limited input spectrum: the
     normalized spectral shape is the zero-power limit of the propagated one.
     """
-    if pump_energy == 0.0:
-        return pump_spectrum(_make_pump(config, 1e-12))
-    kernel = _cached_kernel(config, pump_energy, config.solver.steps)
-    return pump_spectrum(kernel.pump_final)
+    return pump_output_spectra(config, [pump_energy])[0]
+
+
+def pump_output_spectra(
+    config: ExperimentConfig, pump_energies: Iterable[float]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`pump_output_spectrum` at each energy, in order, with the kernels of
+    the whole ladder propagated as one batch."""
+    return [
+        pump_spectrum(_make_pump(config, 1e-12) if k is None else k.pump_final)
+        for k in _ladder_kernels(config, pump_energies)
+    ]
 
 
 def convergence_residual(

@@ -90,26 +90,28 @@ class TestCmdSweep:
 
 def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
     """Sweep rows, calibration, slices and the convergence check share one
-    kernel cache: no (energy, steps) pump kernel is computed twice."""
+    kernel cache: no (energy, steps) pump kernel is computed twice, in the
+    same batch or in two, and the surface's kernels come as one batch."""
     doc = dict(SMALL_DOC, sweep={
         "energies_nj": [float(e) for e in range(17)],
         "delays_ps": [round(-4.0 + 0.5 * i, 10) for i in range(17)],
     })
     cfg = ks.parse_config(json.dumps(doc))
-    keys = []
-    compute = ks.switch.compute_xpm_kernel
+    batches = []
+    compute = ks.switch.compute_xpm_kernels
 
-    def counting(pump, fiber, steps, signal_wavelength):
-        keys.append((ks.energy(pump), steps))
-        return compute(pump, fiber, steps, signal_wavelength)
+    def counting(pumps, fiber, steps, signal_wavelength):
+        batches.append([(ks.energy(p), steps) for p in pumps])
+        return compute(pumps, fiber, steps, signal_wavelength)
 
-    monkeypatch.setattr(ks.switch, "compute_xpm_kernel", counting)
-    ks.switch._cached_kernel.cache_clear()
+    monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+    ks.switch._kernel_cache.clear()
     try:
         ks.cmd_sweep(cfg, tmp_path)
     finally:
-        ks.switch._cached_kernel.cache_clear()
-    assert keys
+        ks.switch._kernel_cache.clear()
+    keys = [key for batch in batches for key in batch]
+    assert len(batches[0]) == 16
     assert len(keys) == len(set(keys))
 
 
@@ -295,6 +297,17 @@ class TestCliMain:
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "nc")])
         assert code == 3
         assert "simulation error" in capsys.readouterr().err
+
+    def test_non_convergence_writes_no_artifact(self, tmp_path, capsys):
+        """The convergence check runs after the surface, but still before
+        anything is written: 16 steps at 8 nJ on a 1024-sample grid fail it."""
+        doc = dict(SMALL_DOC, grid={"n_samples": 1024, "window_ps": 40.0},
+                   solver={"steps": 16}, pump={"energy_nj": 8.0})
+        out = tmp_path / "nc"
+        code = main(["sweep", "--config", self.write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 3
+        assert "step-doubling residual" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)

@@ -283,6 +283,32 @@ class TestShiftedAccumulate:
         expected = 5.0 + np.interp(index - 0.5, index, values, left=0.0, right=0.0)
         assert np.abs(acc - expected).max() <= 1e-15 * 7.0
 
+    @pytest.mark.parametrize("offset", [0, 64])
+    @pytest.mark.parametrize("shift", [0.25, -2.75, 3.0, 70.5, -200.0])
+    def test_rows_equal_one_call_per_row(self, offset, shift):
+        rng = np.random.default_rng(9)
+        values = rng.uniform(0.5, 2.0, (3, self.N))
+        start = rng.uniform(0.0, 1.0, (3, 4 * self.N))
+        acc = start.copy()
+        ks.propagation._add_shifted(acc, values, shift, np.empty(values.shape), offset)
+        for row, base, got in zip(values, start, acc):
+            expected = base.copy()
+            ks.propagation._add_shifted(expected, row, shift, np.empty(self.N), offset)
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("m", [64, 1024, 4096, 16384])
+def test_norm2_row_equals_the_row_alone(m):
+    """A row's sum of squares must not depend on the rows stacked with it,
+    also past the length where a stacked einsum chunks its rows."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    got = ks.propagation._norm2(x)
+    assert got.shape == (5,)
+    for r in range(5):
+        assert got[r] == ks.propagation._norm2(x[r : r + 1])[0]
+    assert np.abs(got - (np.abs(x) ** 2).sum(axis=1)).max() <= 1e-12 * got.max()
+
 
 def reference_xpm_kernel(pump, f, steps, signal_wavelength):
     """Plain symmetric SSFM: two half-dispersion FFT pairs per slice and an
@@ -419,3 +445,83 @@ def test_default_kernels_use_a_sub_window(default_rows, energy):
     kernel = default_rows[energy][2]
     assert kernel.window_samples < ks.default_config().grid.n_samples
     assert kernel.pump_final.samples.shape == (ks.default_config().grid.n_samples,)
+
+
+def _batch_pumps(energies, delay=0.0):
+    cfg = ks.default_config()
+    return [
+        ks.make_gaussian_pulse(cfg.grid, cfg.pump.center_wavelength, cfg.pump.fwhm_duration,
+                               e, delay=delay)
+        for e in energies
+    ]
+
+
+class TestKernelBatch:
+    """compute_xpm_kernels rows against one-pump kernels, on the default grid
+    and fiber at 64 steps: a 2 nJ pump that stays on 1024 samples, an 8 nJ
+    pump whose 1024-sample try fails the end-of-fiber guard and reruns on
+    2048, and two off-centre pumps that only the full grid holds."""
+
+    STEPS = 64
+
+    def _kernels(self, pumps):
+        cfg = ks.default_config()
+        return ks.compute_xpm_kernels(pumps, cfg.fiber, self.STEPS, cfg.signal.center_wavelength)
+
+    def _kernel(self, pump):
+        cfg = ks.default_config()
+        return ks.compute_xpm_kernel(pump, cfg.fiber, self.STEPS, cfg.signal.center_wavelength)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.window_samples == want.window_samples
+        assert np.array_equal(got.phase_vs_offset, want.phase_vs_offset)
+        assert np.array_equal(got.pump_final.samples, want.pump_final.samples)
+        assert np.array_equal(got.per_step_energy, want.per_step_energy)
+
+    @pytest.fixture(scope="class")
+    def pumps(self):
+        return (
+            _batch_pumps([2e-9, 8e-9])
+            + _batch_pumps([8e-9], delay=15e-12)
+            + _batch_pumps([6e-9], delay=-15e-12)
+        )
+
+    @pytest.fixture(scope="class")
+    def batch(self, pumps):
+        return self._kernels(pumps)
+
+    def test_rows_land_on_three_window_sizes(self, pumps, batch):
+        n = ks.default_config().grid.n_samples
+        assert [k.window_samples for k in batch] == [1024, 2048, n, n]
+        # The 8 nJ pump passes the launch guards at 1024 samples, so its
+        # 2048-sample kernel comes from an end-of-fiber retry.
+        launch = np.abs(pumps[1].samples) ** 2
+        first = ks.propagation._launch_window(
+            launch, ks.propagation._MIN_WINDOW, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
+        )
+        assert first == 1024
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_row_equals_its_one_pump_kernel(self, pumps, batch, row):
+        self.assert_same(batch[row], self._kernel(pumps[row]))
+
+    def test_row_ignores_the_other_rows(self, pumps, batch):
+        cfg = ks.default_config()
+        # Another pump wavelength: its row has its own Kerr coefficient.
+        other_colour = ks.make_gaussian_pulse(cfg.grid, 1060e-9, cfg.pump.fwhm_duration, 5e-9)
+        others = _batch_pumps([12e-9, 3e-9]) + _batch_pumps([5e-9], delay=-15e-12)
+        mixed = self._kernels([others[0], pumps[1], other_colour, pumps[2], others[2]])
+        self.assert_same(mixed[1], batch[1])
+        self.assert_same(mixed[3], batch[2])
+        self.assert_same(mixed[2], self._kernel(other_colour))
+        assert mixed[2].pump_final.center_wavelength == 1060e-9
+
+    def test_empty_batch(self):
+        assert self._kernels([]) == []
+
+    def test_pumps_on_two_grids_rejected(self):
+        other = ks.make_gaussian_pulse(ks.TimeGrid(n_samples=1024, window=20e-12),
+                                       PUMP_WL, 180e-15, 1e-9)
+        with pytest.raises(GridMismatch):
+            self._kernels(_batch_pumps([1e-9]) + [other])

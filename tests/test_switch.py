@@ -234,6 +234,50 @@ class TestSweepSurface:
         surface = ks.sweep_surface(cfg)
         assert np.all(surface.eta_grid >= 0.0) and np.all(surface.eta_grid <= 1.0)
 
+    def test_cold_default_sweep_runs_one_split_step_per_window_size(self, default_cfg, monkeypatch):
+        """The default ladder's 28 kernels, their failed 1024-sample tries
+        included, run as one split-step loop per window size."""
+        sizes = []
+        split_step = ks.propagation._split_step
+
+        def counting(a, *args):
+            sizes.append(a.shape[-1])
+            return split_step(a, *args)
+
+        monkeypatch.setattr(ks.propagation, "_split_step", counting)
+        cached = dict(ks.switch._kernel_cache)
+        ks.switch._kernel_cache.clear()
+        try:
+            ks.sweep_surface(default_cfg)
+        finally:
+            ks.switch._kernel_cache.clear()
+            ks.switch._kernel_cache.update(cached)
+        assert sorted(sizes) == [1024, 2048]
+
+    def test_rows_equal_one_kernel_at_a_time(self):
+        doc = {
+            "sweep": {"energies_nj": [0.0, 2.0, 6.0, 10.0], "delays_ps": [-1.0, 0.0, 0.5]},
+            "solver": {"steps": 32},
+            "grid": {"n_samples": 4096, "window_ps": 40.0},
+        }
+        cfg = ks.parse_config(json.dumps(doc))
+        surface = ks.sweep_surface(cfg)
+        for energy, row in zip(cfg.sweep.energies, surface.eta_grid):
+            ks.switch._kernel_cache.clear()
+            assert np.array_equal(row, ks.efficiency_vs_delay(cfg, energy, surface.delays))
+
+    def test_ladder_longer_than_the_kernel_cache(self):
+        doc = {
+            "sweep": {"energies_nj": [0.1 * i for i in range(70)], "delays_ps": [0.0]},
+            "solver": {"steps": 8},
+            "grid": {"n_samples": 1024, "window_ps": 20.0},
+        }
+        cfg = ks.parse_config(json.dumps(doc))
+        surface = ks.sweep_surface(cfg)
+        assert len(ks.switch._kernel_cache) <= ks.switch._KERNEL_CACHE_SIZE
+        assert surface.eta_grid[-1, 0] == ks.numeric_efficiency(cfg, cfg.sweep.energies[-1], 0.0).eta
+        assert np.all(np.diff(surface.eta_grid[:, 0]) > 0.0)
+
 
 def test_convergence_check_passes_at_defaults(default_cfg):
     residual = ks.switch.check_convergence(default_cfg, 8e-9, 0.0)
