@@ -30,6 +30,13 @@ XPM_DIFFERENTIAL_FACTOR = 4.0 / 3.0
 # Largest fraction of the pump energy a propagation sub-window may leave
 # outside itself at launch, or hold in its outer 1/16 at launch and at the end.
 WINDOW_MASS_BOUND = 1e-15
+# Largest fraction of the pump energy a sub-window smaller than the grid may
+# hold in its outer 1/16 at a slice midpoint; past it the window doubles in
+# place. Zero-padding cuts the field at the window's edge, where its amplitude
+# goes as the square root of this mass, and the cut spreads into the pulse.
+# Growing at WINDOW_MASS_BOUND moved the default 14 nJ kernel by 5e-11 of its
+# peak phase against the whole-grid propagation; growing here moves it 3e-13.
+GROWTH_MASS_BOUND = 1e-22
 _MIN_WINDOW = 64  # the smallest TimeGrid
 
 
@@ -48,8 +55,9 @@ class XpmKernel:
     advection enters only through the difference of the two time axes.
     ``offsets`` is the grid's time axis, one read-only array shared by every
     kernel on that grid. ``window_samples`` is the size of the centred
-    sub-window the pump was propagated on (``n_samples`` when it took the
-    whole grid); ``pump_final`` is zero outside it.
+    sub-window the pump ended on (``n_samples`` when it took the whole
+    grid); the window may have grown mid-fiber from a smaller one, and
+    ``pump_final`` is zero outside it.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -86,7 +94,12 @@ def _grid_axis(grid: TimeGrid) -> np.ndarray:
 
 
 def _add_shifted(
-    acc: np.ndarray, values: np.ndarray, shift: float, work: np.ndarray, offset: int = 0
+    acc: np.ndarray,
+    values: np.ndarray,
+    shift: float,
+    work: np.ndarray,
+    offset: int = 0,
+    rows: slice | np.ndarray = ...,
 ) -> None:
     """Add `values`, placed at index `offset` of `acc` and delayed by `shift`
     samples, to `acc`, zero-filled, along the last axis.
@@ -97,8 +110,9 @@ def _add_shifted(
     `values` get nothing, and so do shifts past the ends of `acc`, so a shift
     never wraps around. Stacked rows (``values`` of shape ``(b, m)`` into
     ``acc`` of shape ``(b, n)``) are blended and summed each on its own, with
-    the same result as one call per row. `work` is scratch at least the shape
-    of `values`.
+    the same result as one call per row; `rows` picks the rows of `acc` they
+    go to (a slice, or an index array without repeats). `work` is scratch at
+    least the shape of `values`.
     """
     m, n = values.shape[-1], acc.shape[-1]
     whole = math.floor(shift)
@@ -107,7 +121,7 @@ def _add_shifted(
     if frac == 0.0:
         lo, hi = max(whole, 0), min(whole + m, n)
         if lo < hi:
-            acc[..., lo:hi] += values[..., lo - whole : hi - whole]
+            acc[rows, lo:hi] += values[..., lo - whole : hi - whole]
         return
     # Sample j lies between source taps j - whole - 1 (weight frac) and
     # j - whole (weight 1 - frac); both must be inside `values`.
@@ -119,7 +133,7 @@ def _add_shifted(
     np.subtract(values[..., lo - whole - 1 : hi - whole - 1], near, out=blend)
     blend *= frac
     blend += near
-    acc[..., lo:hi] += blend
+    acc[rows, lo:hi] += blend
 
 
 # Longest row, in float64 values, that one stacked einsum sums exactly as it
@@ -143,10 +157,11 @@ def _norm2(x: np.ndarray) -> np.ndarray:
     return np.array([np.einsum("i,i->", row, row) for row in flat])
 
 
-def _edge_mass(intensity: np.ndarray) -> float:
-    """Energy in the outer 1/16 of a window: its first and last 1/32."""
-    edge = intensity.size // 32
-    return float(intensity[:edge].sum() + intensity[-edge:].sum())
+def _edge_mass(intensity: np.ndarray) -> np.ndarray:
+    """Energy in the outer 1/16 of a window (the last axis): its first and
+    last 1/32, one value per row."""
+    edge = intensity.shape[-1] // 32
+    return intensity[..., :edge].sum(axis=-1) + intensity[..., -edge:].sum(axis=-1)
 
 
 def _launch_window(launch: np.ndarray, m: int, bound: float) -> int:
@@ -164,60 +179,162 @@ def _launch_window(launch: np.ndarray, m: int, bound: float) -> int:
     return n
 
 
+class _Window:
+    """The rows of one `_split_step` call that currently run on the same
+    centred window of `m` samples: their indices, fields, Kerr coefficients
+    and work buffers."""
+
+    def __init__(self, grid: TimeGrid, m: int, fiber: FiberSpec, dz: float):
+        n = grid.n_samples
+        self.m = m
+        self.lo = (n - m) // 2
+        # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
+        sub = grid if m == n else TimeGrid(n_samples=m, window=grid.window * m / n)
+        self.half = _linear_factor(
+            sub.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz
+        )
+        self.full = self.half * self.half
+        self._set(np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.complex128),
+                  np.empty((0, 1)))
+
+    def _set(self, rows: np.ndarray, a: np.ndarray, gamma_dz: np.ndarray) -> None:
+        self.rows, self.a, self.gamma_dz = rows, a, gamma_dz
+        self.intensity = np.empty(a.shape)
+        self.work = np.empty(a.shape)
+        self.rotation = np.empty(a.shape, dtype=np.complex128)
+
+    def join(self, rows: np.ndarray, a: np.ndarray, gamma_dz: np.ndarray) -> None:
+        """Add rows whose fields `a` are in the same domain as this window's
+        own."""
+        self._set(np.concatenate([self.rows, rows]), np.concatenate([self.a, a]),
+                  np.concatenate([self.gamma_dz, gamma_dz]))
+
+    def take(self, leave: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove the rows flagged in `leave` and return their indices,
+        fields and Kerr coefficients; the rows that stay keep this slice's
+        intensity."""
+        taken = self.rows[leave], self.a[leave], self.gamma_dz[leave]
+        stay = ~leave
+        intensity = self.intensity[stay]
+        self._set(self.rows[stay], self.a[stay], self.gamma_dz[stay])
+        self.intensity = intensity
+        return taken
+
+
 def _split_step(
-    a: np.ndarray,
+    launch: Sequence[np.ndarray],
+    windows: Sequence[int],
     grid: TimeGrid,
     fiber: FiberSpec,
     steps: int,
     gamma_pump: np.ndarray,
-    phase: np.ndarray,
-    offset: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the ``(b, m)`` time-domain pumps `a` (each row sampled on
-    `grid`, overwritten) over `steps` slices, one slice loop for all rows.
-    Row r has Kerr coefficient ``gamma_pump[r, 0]`` and adds each slice's
-    walked-off intensity into ``phase[r]`` from index `offset`. Rows never mix:
-    each comes out bit for bit as it would in a batch of one. Returns the
-    output pumps and each row's energy at launch and after each slice."""
+) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
+    """Propagate the time-domain pumps `launch` (each sampled on `grid`)
+    over `steps` slices, all rows in lockstep. Row r starts on the centred
+    window of ``windows[r]`` samples and has Kerr coefficient
+    ``gamma_pump[r, 0]``.
+
+    The rows that share a window size run through each slice together,
+    smallest size first. At each slice midpoint, a row on a window smaller
+    than the grid whose outer 1/16 holds more than ``GROWTH_MASS_BOUND`` of
+    its energy grows in place. The linear step that led to this midpoint is
+    undone on the old window, which gives back the field after the previous
+    slice's nonlinear step (the launch field at the first slice), where the
+    window still passed. That field is zero-padded, centred, to twice the
+    window (or to the whole grid, which is not guarded), and the linear step
+    is redone there. The row then goes on in the larger window's group, and
+    may grow again. Rows never mix: each comes out bit for bit as it would
+    in a batch of one.
+
+    Returns each row's final window size and its output field on that
+    window, a ``(b, n_samples)`` array whose row r sums row r's walked-off
+    intensity over the slices, and each row's energy at launch and after
+    each slice.
+    """
     n = grid.n_samples
     dz = fiber.length / steps
-    half = _linear_factor(grid.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz)
-    full = half * half
     # |half|^2 is this uniform factor: only loss changes the energy.
     half_loss = math.exp(-0.5 * fiber.alpha * dz)
-    gamma_dz = gamma_pump * dz
+    windows = np.asarray(windows)
+    # sum(|a|^2) of each row at launch (time domain), and after each slice
+    # (frequency domain) divided by the row's window size then.
+    norms = np.empty((steps + 1, windows.size))
+    phase = np.zeros((windows.size, n))
+    # Every size a row can reach, smallest first.
+    sizes = [int(windows.min())]
+    while sizes[-1] < n:
+        sizes.append(2 * sizes[-1])
+    groups: dict[int, _Window] = {}
 
-    # Work buffers, reused by every slice; the FFTs run in place on `a`.
-    intensity = np.empty(a.shape)
-    work = np.empty(a.shape)
-    rotation = np.empty(a.shape, dtype=np.complex128)
-    # sum(|a|^2) of each row, at launch (time domain) and after each slice
-    # (frequency domain).
-    norms = np.empty((steps + 1, a.shape[0]))
+    def group(m: int) -> _Window:
+        if m not in groups:
+            groups[m] = _Window(grid, m, fiber, dz)
+        return groups[m]
 
-    norms[0] = _norm2(a)
-    a = scipy.fft.fft(a, overwrite_x=True)
-    a *= half
-    for k in range(steps):
-        a = scipy.fft.ifft(a, overwrite_x=True)
-        np.abs(a, out=intensity)
-        intensity *= intensity
-        np.multiply(intensity, gamma_dz, out=work)
-        np.cos(work, out=rotation.real)
-        np.sin(work, out=rotation.imag)
-        a *= rotation
-        # Pump offset at the slice midpoint, in the signal frame, for delay 0.
-        shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length)
-        _add_shifted(phase, intensity, shift / grid.dt, work, offset)
+    def grow(g: _Window, leave: np.ndarray, k: int) -> None:
+        into = group(min(2 * g.m, n))
+        rows, a, gamma_dz = g.take(leave)
         a = scipy.fft.fft(a, overwrite_x=True)
-        norms[k + 1] = _norm2(a)
-        a *= full if k + 1 < steps else half
-    step_energy = np.empty((a.shape[0], steps + 1))
+        a /= g.full if k else g.half
+        padded = np.zeros((rows.size, into.m), dtype=np.complex128)
+        start = g.lo - into.lo
+        padded[:, start : start + g.m] = scipy.fft.ifft(a, overwrite_x=True)
+        a = scipy.fft.fft(padded, overwrite_x=True)
+        if k:
+            norms[k, rows] = _norm2(a) / into.m
+        a *= into.full if k else into.half
+        into.join(rows, scipy.fft.ifft(a, overwrite_x=True), gamma_dz)
+
+    for m in np.unique(windows):
+        rows = np.flatnonzero(windows == m)
+        g = group(int(m))
+        a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
+        norms[0, rows] = _norm2(a)
+        a = scipy.fft.fft(a, overwrite_x=True)
+        a *= g.half
+        g.join(rows, a, gamma_pump[rows] * dz)
+
+    for k in range(steps):
+        # Pump offset at the slice midpoint, in the signal frame, for delay 0.
+        shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length) / grid.dt
+        for g in groups.values():
+            if g.rows.size:
+                g.a = scipy.fft.ifft(g.a, overwrite_x=True)
+        for m in sizes:
+            g = groups.get(m)
+            if g is None or not g.rows.size:
+                continue
+            np.abs(g.a, out=g.intensity)
+            g.intensity *= g.intensity
+            if m < n:
+                total = g.intensity.sum(axis=-1)
+                leave = ~(_edge_mass(g.intensity) <= GROWTH_MASS_BOUND * total)
+                if leave.any():
+                    grow(g, leave, k)
+                    if not g.rows.size:
+                        continue
+            np.multiply(g.intensity, g.gamma_dz, out=g.work)
+            np.cos(g.work, out=g.rotation.real)
+            np.sin(g.work, out=g.rotation.imag)
+            g.a *= g.rotation
+            _add_shifted(phase, g.intensity, shift, g.work, g.lo, g.rows)
+            g.a = scipy.fft.fft(g.a, overwrite_x=True)
+            # Dividing by the power of two m rounds nothing.
+            norms[k + 1, g.rows] = _norm2(g.a) / m
+            g.a *= g.full if k + 1 < steps else g.half
+
+    out_windows = [0] * windows.size
+    fields = [None] * windows.size
+    for g in groups.values():
+        a = scipy.fft.ifft(g.a, overwrite_x=True) if g.rows.size else g.a
+        for j, r in enumerate(g.rows):
+            out_windows[r], fields[r] = g.m, a[j]
+    step_energy = np.empty((windows.size, steps + 1))
     step_energy[:, 0] = norms[0] * grid.dt
     # Energy at the end of each slice (Parseval, then the closing half step's
     # loss); that half step merges with the next slice's opening one.
-    step_energy[:, 1:] = (norms[1:] * half_loss * grid.dt / n).T
-    return scipy.fft.ifft(a, overwrite_x=True), step_energy
+    step_energy[:, 1:] = (norms[1:] * half_loss * grid.dt).T
+    return out_windows, fields, phase, step_energy
 
 
 def compute_xpm_kernels(
@@ -238,20 +355,25 @@ def compute_xpm_kernels(
     ``per_step_energy`` holds the pump energy at launch and after each of
     the `steps` slices.
 
-    Each pump is propagated on the smallest power-of-two sub-window, centred
-    in the grid and at its ``dt``, that passes two guards: at launch at most
-    ``WINDOW_MASS_BOUND`` of the pump energy lies outside the sub-window, and
-    its outer 1/16 holds at most that fraction of the energy both at launch
-    and after the last slice. The search starts at 64 samples and doubles;
-    once it reaches the full grid it propagates that, unguarded, exactly as
-    a kernel without the search would. The walked-off phase is accumulated
-    straight into the full-grid ``phase_vs_offset``, so walk-off past the
-    sub-window is kept, and ``pump_final`` is zero-padded back to the grid.
+    Each pump starts on the smallest power-of-two sub-window, centred in the
+    grid and at its ``dt``, that passes two launch guards: at most
+    ``WINDOW_MASS_BOUND`` of the pump energy lies outside it, and its outer
+    1/16 holds at most that fraction of the energy. The search starts at 64
+    samples and doubles; once it reaches the full grid it propagates that,
+    unguarded, exactly as a kernel without the search would. At every slice
+    midpoint the outer 1/16 may hold at most ``GROWTH_MASS_BOUND`` of the
+    energy; a pump with more grows in place to twice its window and goes on
+    from that slice (see `_split_step`), so ``window_samples`` is the window
+    it ends on. A pump whose output still holds more than
+    ``WINDOW_MASS_BOUND`` in its outer 1/16 after the last slice runs again
+    from launch, on the next larger window that passes the launch guards.
+    The walked-off phase is accumulated straight into the full-grid
+    ``phase_vs_offset``, so walk-off past the sub-window is kept, and
+    ``pump_final`` is zero-padded back to the grid.
 
-    Pumps whose next try has the same window size run through one split-step
-    loop together, smallest size first; those that fail the end-of-fiber
-    guard join the next doubling's batch. A pump's kernel is bit for bit the
-    same whatever else is in the batch.
+    All pumps run through one split-step loop, grouped by their current
+    window size; a pump's kernel is bit for bit the same whatever else is in
+    the batch.
 
     Raises:
         GridMismatch: if the pumps are sampled on different grids.
@@ -268,35 +390,30 @@ def compute_xpm_kernels(
     xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
+    gamma = np.array(
+        [[nonlinear_coefficient(fiber.n2, p.center_wavelength, fiber.a_eff)] for p in pumps]
+    )
     launch = [np.abs(p.samples) ** 2 for p in pumps]
     bound = [WINDOW_MASS_BOUND * x.sum() for x in launch]
-    # Window size -> indices of the pumps whose next try runs at that size.
-    tries: dict[int, list[int]] = {}
-    for i in range(len(pumps)):
-        tries.setdefault(_launch_window(launch[i], _MIN_WINDOW, bound[i]), []).append(i)
+    # Pump index -> the launch window of its next run from launch.
+    tries = {i: _launch_window(launch[i], _MIN_WINDOW, bound[i]) for i in range(len(pumps))}
     kernels: list[XpmKernel | None] = [None] * len(pumps)
     while tries:
-        m = min(tries)
-        rows = tries.pop(m)
-        lo = (n - m) // 2
-        # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
-        sub = grid if m == n else TimeGrid(n_samples=m, window=grid.window * m / n)
-        gamma = np.array(
-            [[nonlinear_coefficient(fiber.n2, pumps[i].center_wavelength, fiber.a_eff)]
-             for i in rows]
+        rows = list(tries)
+        windows, fields, phase, step_energy = _split_step(
+            [pumps[i].samples for i in rows], list(tries.values()),
+            grid, fiber, steps, gamma[rows],
         )
-        phase = np.zeros((len(rows), n))
-        a, step_energy = _split_step(
-            np.stack([pumps[i].samples[lo : lo + m] for i in rows]),
-            sub, fiber, steps, gamma, phase, lo,
-        )
+        tries.clear()
         for r, i in enumerate(rows):
-            out = np.abs(a[r]) ** 2
+            m, a = windows[r], fields[r]
+            out = np.abs(a) ** 2
             if m < n and not _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
-                tries.setdefault(_launch_window(launch[i], 2 * m, bound[i]), []).append(i)
+                tries[i] = _launch_window(launch[i], 2 * m, bound[i])
                 continue
+            lo = (n - m) // 2
             samples = np.zeros(n, dtype=np.complex128)
-            samples[lo : lo + m] = a[r]
+            samples[lo : lo + m] = a
             kernels[i] = XpmKernel(
                 offsets=_grid_axis(grid),
                 phase_vs_offset=phase[r] * (xpm_coef * dz),

@@ -115,6 +115,33 @@ def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
     assert len(keys) == len(set(keys))
 
 
+def test_cold_default_cmd_sweep_starts_each_kernel_once(default_cfg, monkeypatch, tmp_path):
+    """Every pump kernel of a cold default sweep runs from launch once: one
+    split-step call per batch of kernels, one row per kernel."""
+    kernels, rows = [], []
+    compute = ks.switch.compute_xpm_kernels
+    split_step = ks.propagation._split_step
+
+    def counting_kernels(pumps, *args):
+        kernels.append(len(pumps))
+        return compute(pumps, *args)
+
+    def counting_split_step(launch, *args):
+        rows.append(len(launch))
+        return split_step(launch, *args)
+
+    monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting_kernels)
+    monkeypatch.setattr(ks.propagation, "_split_step", counting_split_step)
+    cached = dict(ks.switch._kernel_cache)
+    ks.switch._kernel_cache.clear()
+    try:
+        ks.cmd_sweep(default_cfg, tmp_path)
+    finally:
+        ks.switch._kernel_cache.clear()
+        ks.switch._kernel_cache.update(cached)
+    assert rows == kernels
+
+
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):
     """The stock configuration reproduces the headline operating figures."""
     ks.cmd_sweep(default_cfg, tmp_path)

@@ -296,6 +296,22 @@ class TestShiftedAccumulate:
             ks.propagation._add_shifted(expected, row, shift, np.empty(self.N), offset)
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("rows", [slice(1, 3), np.array([0, 2]), np.array([3])])
+    @pytest.mark.parametrize("shift", [0.25, 3.0, -200.0])
+    def test_rows_pick_rows_of_the_accumulator(self, rows, shift):
+        """Picked rows, by slice or by index, get what a call on each alone
+        gives; the other rows are untouched."""
+        rng = np.random.default_rng(11)
+        start = rng.uniform(0.0, 1.0, (4, 4 * self.N))
+        picked = np.arange(4)[rows]
+        values = rng.uniform(0.5, 2.0, (picked.size, self.N))
+        acc = start.copy()
+        ks.propagation._add_shifted(acc, values, shift, np.empty(values.shape), 64, rows)
+        expected = start.copy()
+        for r, row in zip(picked, values):
+            ks.propagation._add_shifted(expected[r], row, shift, np.empty(self.N), 64)
+        assert np.array_equal(acc, expected)
+
 
 @pytest.mark.parametrize("m", [64, 1024, 4096, 16384])
 def test_norm2_row_equals_the_row_alone(m):
@@ -405,31 +421,36 @@ def test_walkoff_past_the_sub_window_is_kept(walkoff):
     assert kernel.phase_vs_offset[outside].sum() > 0.1 * kernel.phase_vs_offset.sum()
 
 
+def _reference_row(cfg, pump):
+    """Default-config efficiency over the sweep delays from the full-grid
+    reference loop."""
+    signal = ks.make_gaussian_pulse(cfg.grid, cfg.signal.center_wavelength,
+                                    cfg.signal.fwhm_duration, 1e-18)
+    weights = np.abs(ks.propagation.propagate_signal_linear(signal, cfg.fiber).samples) ** 2
+    t = cfg.grid.times
+    phase, _, _ = reference_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
+                                       cfg.signal.center_wavelength)
+    return np.array([
+        ks.efficiency_from_phase(
+            weights, np.interp(t - tau, t, phase, left=0.0, right=0.0), cfg.geometry.theta
+        )
+        for tau in cfg.sweep.delays
+    ])
+
+
 @pytest.fixture(scope="module")
 def default_rows():
     """Default-config efficiency rows from compute_xpm_kernel and from the
     full-grid reference loop at 4, 7.8 and 14 nJ."""
     cfg = ks.default_config()
     delays = np.asarray(cfg.sweep.delays)
-    signal = ks.make_gaussian_pulse(cfg.grid, cfg.signal.center_wavelength,
-                                    cfg.signal.fwhm_duration, 1e-18)
-    weights = np.abs(ks.propagation.propagate_signal_linear(signal, cfg.fiber).samples) ** 2
-    t = cfg.grid.times
     rows = {}
     for e in (4e-9, 7.8e-9, 14e-9):
         pump = ks.make_gaussian_pulse(cfg.grid, cfg.pump.center_wavelength,
                                       cfg.pump.fwhm_duration, e)
-        phase, _, _ = reference_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
-                                           cfg.signal.center_wavelength)
-        reference = [
-            ks.efficiency_from_phase(
-                weights, np.interp(t - tau, t, phase, left=0.0, right=0.0), cfg.geometry.theta
-            )
-            for tau in delays
-        ]
         kernel = ks.compute_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
                                        cfg.signal.center_wavelength)
-        rows[e] = (ks.efficiency_vs_delay(cfg, e, delays), np.array(reference), kernel)
+        rows[e] = (ks.efficiency_vs_delay(cfg, e, delays), _reference_row(cfg, pump), kernel)
     return rows
 
 
@@ -447,6 +468,59 @@ def test_default_kernels_use_a_sub_window(default_rows, energy):
     assert kernel.pump_final.samples.shape == (ks.default_config().grid.n_samples,)
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The launch windows of each `_split_step` call, one list per call."""
+    calls = []
+    split_step = ks.propagation._split_step
+
+    def counting(launch, windows, *args):
+        calls.append(list(windows))
+        return split_step(launch, windows, *args)
+
+    monkeypatch.setattr(ks.propagation, "_split_step", counting)
+    return calls
+
+
+def _default_kernel(energy):
+    cfg = ks.default_config()
+    pump = ks.make_gaussian_pulse(cfg.grid, cfg.pump.center_wavelength,
+                                  cfg.pump.fwhm_duration, energy)
+    kernel = ks.compute_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
+                                   cfg.signal.center_wavelength)
+    return pump, kernel
+
+
+def test_end_guard_reruns_from_launch(runs, monkeypatch):
+    """A pump that passes the outer-1/16 guard at every slice midpoint but
+    fails it after the last slice runs again from launch on the next window.
+
+    No default pump gets there, because growth starts at a mass far below
+    the end guard's. With growth held off until the end guard's own bound,
+    a 5.3 nJ pump stays under it at every midpoint on 1024 samples and ends
+    over it."""
+    monkeypatch.setattr(ks.propagation, "GROWTH_MASS_BOUND", ks.propagation.WINDOW_MASS_BOUND)
+    pump, kernel = _default_kernel(5.3e-9)
+    assert runs == [[1024], [2048]]
+    assert kernel.window_samples == 2048
+    cfg = ks.default_config()
+    got = ks.switch._efficiency_row(cfg, kernel, np.asarray(cfg.sweep.delays))
+    reference = _reference_row(cfg, pump)
+    assert reference.max() > 0.1
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+def test_energy_conserved_across_growth(runs):
+    """Without loss, a pump that grows mid-fiber keeps its energy through
+    every slice, the slices where its window doubled included."""
+    assert ks.default_config().fiber.alpha == 0.0
+    _, kernel = _default_kernel(14e-9)
+    assert runs == [[1024]]
+    assert kernel.window_samples > 1024
+    energy = kernel.per_step_energy
+    assert np.abs(energy / energy[0] - 1.0).max() <= 1e-13
+
+
 def _batch_pumps(energies, delay=0.0):
     cfg = ks.default_config()
     return [
@@ -459,8 +533,8 @@ def _batch_pumps(energies, delay=0.0):
 class TestKernelBatch:
     """compute_xpm_kernels rows against one-pump kernels, on the default grid
     and fiber at 64 steps: a 2 nJ pump that stays on 1024 samples, an 8 nJ
-    pump whose 1024-sample try fails the end-of-fiber guard and reruns on
-    2048, and two off-centre pumps that only the full grid holds."""
+    pump that launches on 1024 and grows in place to 4096 mid-fiber, and two
+    off-centre pumps that only the full grid holds."""
 
     STEPS = 64
 
@@ -493,9 +567,9 @@ class TestKernelBatch:
 
     def test_rows_land_on_three_window_sizes(self, pumps, batch):
         n = ks.default_config().grid.n_samples
-        assert [k.window_samples for k in batch] == [1024, 2048, n, n]
+        assert [k.window_samples for k in batch] == [1024, 4096, n, n]
         # The 8 nJ pump passes the launch guards at 1024 samples, so its
-        # 2048-sample kernel comes from an end-of-fiber retry.
+        # 4096-sample kernel comes from growing in place.
         launch = np.abs(pumps[1].samples) ** 2
         first = ks.propagation._launch_window(
             launch, ks.propagation._MIN_WINDOW, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
@@ -516,6 +590,15 @@ class TestKernelBatch:
         self.assert_same(mixed[3], batch[2])
         self.assert_same(mixed[2], self._kernel(other_colour))
         assert mixed[2].pump_final.center_wavelength == 1060e-9
+
+    def test_rows_that_grow_around_one_that_does_not(self, pumps):
+        """The 12 and 8 nJ rows leave the 1024-sample group and share a
+        larger one without the 2 nJ row between them."""
+        mixed = _batch_pumps([12e-9]) + pumps[:2]
+        batch = self._kernels(mixed)
+        assert [k.window_samples for k in batch] == [4096, 1024, 4096]
+        for got, pump in zip(batch, mixed):
+            self.assert_same(got, self._kernel(pump))
 
     def test_empty_batch(self):
         assert self._kernels([]) == []

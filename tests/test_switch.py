@@ -234,15 +234,15 @@ class TestSweepSurface:
         surface = ks.sweep_surface(cfg)
         assert np.all(surface.eta_grid >= 0.0) and np.all(surface.eta_grid <= 1.0)
 
-    def test_cold_default_sweep_runs_one_split_step_per_window_size(self, default_cfg, monkeypatch):
-        """The default ladder's 28 kernels, their failed 1024-sample tries
-        included, run as one split-step loop per window size."""
-        sizes = []
+    def test_cold_default_sweep_runs_one_split_step(self, default_cfg, monkeypatch):
+        """The default ladder's 28 kernels run as one split-step loop: the
+        pumps whose window grows go on mid-fiber instead of starting again."""
+        rows = []
         split_step = ks.propagation._split_step
 
-        def counting(a, *args):
-            sizes.append(a.shape[-1])
-            return split_step(a, *args)
+        def counting(launch, *args):
+            rows.append(len(launch))
+            return split_step(launch, *args)
 
         monkeypatch.setattr(ks.propagation, "_split_step", counting)
         cached = dict(ks.switch._kernel_cache)
@@ -252,7 +252,7 @@ class TestSweepSurface:
         finally:
             ks.switch._kernel_cache.clear()
             ks.switch._kernel_cache.update(cached)
-        assert sorted(sizes) == [1024, 2048]
+        assert rows == [28]
 
     def test_rows_equal_one_kernel_at_a_time(self):
         doc = {
