@@ -7,7 +7,7 @@ Every type here is an immutable value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -324,3 +324,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0 <= self.rng_seed < 2**64):
             raise ValidationError("rng_seed must be an unsigned 64-bit integer")
+
+    def __hash__(self) -> int:
+        # The kernel and support caches hash a config for every lookup, and
+        # the field tuple recurses through every nested spec; hash it once.
+        # The cache is not a field, so `__eq__` and `repr` ignore it.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters, so a pickled config
+        # leaves its cached hash behind.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state

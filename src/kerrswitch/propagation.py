@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .core import C_LIGHT, FiberSpec, PulseEnvelope, TimeGrid, energy
 from .errors import GridMismatch, ValidationError, ZeroEnergy
@@ -246,6 +245,10 @@ def _split_step(
     may grow again. Rows never mix: each comes out bit for bit as it would
     in a batch of one.
 
+    The transforms are numpy.fft, which is pocketfft: the kernels are the
+    same bits as with the pocketfft they used before. Each writes into its
+    input (``out=``), so a slice allocates no field.
+
     Returns each row's final window size and its output field on that
     window, a ``(b, n_samples)`` array whose row r sums row r's walked-off
     intensity over the slices, and each row's energy at launch and after
@@ -274,23 +277,23 @@ def _split_step(
     def grow(g: _Window, leave: np.ndarray, k: int) -> None:
         into = group(min(2 * g.m, n))
         rows, a, gamma_dz = g.take(leave)
-        a = scipy.fft.fft(a, overwrite_x=True)
+        np.fft.fft(a, out=a)
         a /= g.full if k else g.half
         padded = np.zeros((rows.size, into.m), dtype=np.complex128)
         start = g.lo - into.lo
-        padded[:, start : start + g.m] = scipy.fft.ifft(a, overwrite_x=True)
-        a = scipy.fft.fft(padded, overwrite_x=True)
+        padded[:, start : start + g.m] = np.fft.ifft(a, out=a)
+        a = np.fft.fft(padded, out=padded)
         if k:
             norms[k, rows] = _norm2(a) / into.m
         a *= into.full if k else into.half
-        into.join(rows, scipy.fft.ifft(a, overwrite_x=True), gamma_dz)
+        into.join(rows, np.fft.ifft(a, out=a), gamma_dz)
 
     for m in np.unique(windows):
         rows = np.flatnonzero(windows == m)
         g = group(int(m))
         a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
         norms[0, rows] = _norm2(a)
-        a = scipy.fft.fft(a, overwrite_x=True)
+        np.fft.fft(a, out=a)
         a *= g.half
         g.join(rows, a, gamma_pump[rows] * dz)
 
@@ -299,7 +302,7 @@ def _split_step(
         shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length) / grid.dt
         for g in groups.values():
             if g.rows.size:
-                g.a = scipy.fft.ifft(g.a, overwrite_x=True)
+                np.fft.ifft(g.a, out=g.a)
         for m in sizes:
             g = groups.get(m)
             if g is None or not g.rows.size:
@@ -318,7 +321,7 @@ def _split_step(
             np.sin(g.work, out=g.rotation.imag)
             g.a *= g.rotation
             _add_shifted(phase, g.intensity, shift, g.work, g.lo, g.rows)
-            g.a = scipy.fft.fft(g.a, overwrite_x=True)
+            np.fft.fft(g.a, out=g.a)
             # Dividing by the power of two m rounds nothing.
             norms[k + 1, g.rows] = _norm2(g.a) / m
             g.a *= g.full if k + 1 < steps else g.half
@@ -326,7 +329,7 @@ def _split_step(
     out_windows = [0] * windows.size
     fields = [None] * windows.size
     for g in groups.values():
-        a = scipy.fft.ifft(g.a, overwrite_x=True) if g.rows.size else g.a
+        a = np.fft.ifft(g.a, out=g.a) if g.rows.size else g.a
         for j, r in enumerate(g.rows):
             out_windows[r], fields[r] = g.m, a[j]
     step_energy = np.empty((windows.size, steps + 1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -256,9 +256,6 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     Raises:
         NoBracket: if the efficiency never exceeds 0.5 on the scanned range.
     """
-    # Only calibration needs scipy.optimize; importing it costs ~0.2 s.
-    from scipy.optimize import minimize_scalar
-
     energies = np.asarray(config.sweep.energies, dtype=float)
     lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
@@ -281,13 +278,89 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     right = coarse[min(best + 1, len(coarse) - 1)]
     if left == right:
         return float(coarse[best])
-    res = minimize_scalar(
+    return float(_bounded_brent(
         lambda e: -numeric_efficiency(config, float(e), 0.0).eta,
-        bounds=(left, right),
-        method="bounded",
-        options={"xatol": 1e-3 * max(coarse[best], hi * 1e-3)},
-    )
-    return float(res.x)
+        left,
+        right,
+        xatol=1e-3 * max(coarse[best], hi * 1e-3),
+    ))
+
+
+def _bounded_brent(
+    func: Callable[[float], float], a: float, b: float, xatol: float, maxfun: int = 500
+) -> float:
+    """Minimize `func` on [a, b] by Brent's bounded method: golden-section
+    steps plus parabolic ones (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5), ported line for line from
+    ``minimize_scalar(method="bounded")``: the same abscissae are evaluated
+    in the same order, and the same one is returned. Stops after `maxfun`
+    evaluations."""
+
+    def sign(v: float) -> float:
+        # +1 at zero, as np.sign(v) + (v == 0) gives.
+        return -1.0 if v < 0 else 1.0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q  # + 0.0 turns -0.0 into +0.0
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
 
 
 def pump_output_spectrum(

@@ -379,3 +379,32 @@ def test_cli_leaves_scipy_optimize_unloaded():
         check=True,
     )
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_calibrate_and_sweep_load_no_scipy(tmp_path):
+    """Every command runs on numpy alone: after a calibrate and a sweep in a
+    fresh interpreter, no scipy module is loaded."""
+    doc = {
+        "grid": {"n_samples": 1024, "window_ps": 40.0},
+        "solver": {"steps": 16},
+        "pump": {"energy_nj": 4.0},
+        "sweep": {"energies_nj": [0.0, 4.0, 8.0, 12.0], "delays_ps": [-1.0, 0.0, 1.0]},
+    }
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = (
+        "import sys; from kerrswitch.cli import main; cfg, out = sys.argv[1:]; "
+        "assert main(['calibrate', '--config', cfg, '--out', out + '/cal']) == 0; "
+        "assert main(['sweep', '--config', cfg, '--out', out + '/sweep']) == 0; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(ks.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "surface.csv").exists()

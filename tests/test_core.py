@@ -1,6 +1,8 @@
 """Grids, pulses, energies, and the shared config types."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -160,3 +162,17 @@ def test_config_is_immutable_and_hashable(default_cfg):
     with pytest.raises(AttributeError):
         default_cfg.rng_seed = 1
     assert hash(default_cfg) == hash(ks.default_config())
+
+
+def test_config_hash_is_computed_once_and_not_kept():
+    """Equal configs built apart hash alike, to the field-tuple hash; the
+    cached value is no field, so equality and repr ignore it, and a pickled
+    config leaves it behind."""
+    a, b = ks.default_config(), ks.parse_config("{}")
+    assert a is not b and a == b
+    expected = hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+    assert hash(a) == hash(b) == hash(a) == expected
+    assert "_hash" not in repr(a) and a == b
+    copy = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in vars(copy)
+    assert copy == a and hash(copy) == expected

@@ -129,6 +129,94 @@ class TestCalibration:
         with pytest.raises(NoBracket):
             ks.calibrate_pi_energy(cfg)
 
+    def test_default_energy_is_pinned(self, calibrated_energy):
+        assert calibrated_energy / NJ == 7.80979957760351
+
+    def test_default_refinement_matches_scipy(self, default_cfg, calibrated_energy, monkeypatch):
+        """The refinement's bracket, tolerance and objective, handed to
+        scipy's bounded search, give the same energy (development check)."""
+        optimize = pytest.importorskip("scipy.optimize")
+        searches = []
+        search = ks.switch._bounded_brent
+
+        def recording(func, a, b, xatol):
+            searches.append((func, a, b, xatol))
+            return search(func, a, b, xatol)
+
+        monkeypatch.setattr(ks.switch, "_bounded_brent", recording)
+        energy = ks.calibrate_pi_energy(default_cfg)
+        [(func, a, b, xatol)] = searches
+        assert type(a) is np.float64 and type(b) is np.float64
+        res = optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
+                                       options={"xatol": xatol})
+        assert energy == float(res.x) == calibrated_energy
+
+
+def _unimodal(shape, centre, width):
+    """A function of x with one minimum (or one flat bottom), at `centre`, on
+    a scale `width`."""
+    if shape == "parabola":
+        return lambda x: ((x - centre) / width) ** 2
+    if shape == "cusp":
+        return lambda x: abs((x - centre) / width) ** 0.5
+    if shape == "well":
+        return lambda x: -math.exp(-(((x - centre) / width) ** 2))
+    if shape == "terraces":  # flat steps: ties between evaluations
+        return lambda x: math.floor(8.0 * ((x - centre) / width) ** 2)
+    return lambda x: math.expm1((x - centre) / width) - (x - centre) / width  # skewed
+
+
+class TestBoundedBrent:
+    """`switch._bounded_brent`, and against scipy's ``minimize_scalar(method=
+    "bounded")``, which it ports: the same abscissae evaluated in the same
+    order, and the same answer. The comparison is a development check that
+    skips without scipy."""
+
+    def test_matches_scipy_on_unimodal_functions(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            shape=st.sampled_from(["parabola", "cusp", "well", "terraces", "skewed"]),
+            lo=st.floats(-1e3, 1e3),
+            span=st.floats(1e-6, 1e3),
+            # 0 and 1 put the minimum on a bound, beyond [0, 1] outside it.
+            at=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1.0, 2.0)),
+            scale=st.floats(1e-2, 1e2),
+            tol=st.floats(1e-12, 0.5),
+            maxfun=st.sampled_from([500, 2, 7, 20]),
+        )
+        def check(shape, lo, span, at, scale, tol, maxfun):
+            a, b = np.float64(lo), np.float64(lo + span)
+            hypothesis.assume(b > a)
+            func = _unimodal(shape, lo + at * span, scale * span)
+            xatol = tol * span
+            ours, theirs = [], []
+
+            def f_ours(x):
+                ours.append(x)
+                return func(x)
+
+            def f_theirs(x):
+                theirs.append(x)
+                return func(x)
+
+            x = ks.switch._bounded_brent(f_ours, a, b, xatol, maxfun=maxfun)
+            res = optimize.minimize_scalar(f_theirs, bounds=(a, b), method="bounded",
+                                           options={"xatol": xatol, "maxiter": maxfun})
+            assert x == float(res.x)
+            assert len(ours) == res.nfev
+            assert ours == theirs
+
+        check()
+
+    def test_finds_a_minimum_on_either_bound(self):
+        a, b = np.float64(2.0), np.float64(5.0)
+        assert abs(ks.switch._bounded_brent(lambda x: x, a, b, 1e-6) - a) <= 1e-5
+        assert abs(ks.switch._bounded_brent(lambda x: -x, a, b, 1e-6) - b) <= 1e-5
+
 
 class TestTemporalMetrics:
     def test_rectangle_width(self):
@@ -277,6 +365,25 @@ class TestSweepSurface:
         assert len(ks.switch._kernel_cache) <= ks.switch._KERNEL_CACHE_SIZE
         assert surface.eta_grid[-1, 0] == ks.numeric_efficiency(cfg, cfg.sweep.energies[-1], 0.0).eta
         assert np.all(np.diff(surface.eta_grid[:, 0]) > 0.0)
+
+    def test_kernel_cache_hits_across_equal_configs(self, monkeypatch):
+        """A config parsed apart from an equal one hashes alike, so it finds
+        the other's kernel in the cache."""
+        doc = json.dumps({"solver": {"steps": 16}, "grid": {"n_samples": 1024, "window_ps": 20.0}})
+        first, second = ks.parse_config(doc), ks.parse_config(doc)
+        assert first is not second
+        batches = []
+        compute = ks.switch.compute_xpm_kernels
+
+        def counting(pumps, *args):
+            batches.append(len(pumps))
+            return compute(pumps, *args)
+
+        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+        delays = np.array([-0.5e-12, 0.0, 0.5e-12])
+        etas = ks.efficiency_vs_delay(first, 5.125e-9, delays)
+        assert np.array_equal(ks.efficiency_vs_delay(second, 5.125e-9, delays), etas)
+        assert batches == [1]
 
 
 def test_convergence_check_passes_at_defaults(default_cfg):
