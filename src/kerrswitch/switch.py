@@ -247,11 +247,23 @@ def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
 
 
+def _zero_delay_etas(config: ExperimentConfig, pump_energies: list[float]) -> list[float]:
+    """Zero-delay efficiency at each energy, with the missing kernels
+    propagated as one batch; each equals ``numeric_efficiency``'s."""
+    return [
+        0.0 if k is None else _kernel_efficiency(config, k, 0.0)
+        for k in _ladder_kernels(config, pump_energies)
+    ]
+
+
 def calibrate_pi_energy(config: ExperimentConfig) -> float:
     """Pump energy maximizing the zero-delay efficiency.
 
-    Scans the configured sweep energy range, then refines the best bracket
-    with a bounded scalar search. Deterministic for a fixed config.
+    Scans the configured sweep energy range, then refines the bracket around
+    the best scanned energy by `_bracketed_argmax`, whose rounds each
+    propagate their new kernels as one batch. The result is an evaluated
+    energy, so its kernel is in the kernel cache. Deterministic for a fixed
+    config.
 
     Raises:
         NoBracket: if the efficiency never exceeds 0.5 on the scanned range.
@@ -261,106 +273,92 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     if hi <= lo:
         raise NoBracket("sweep energy range is degenerate")
     if energies.size >= 17:
-        coarse = np.sort(energies)
+        coarse = np.sort(energies).tolist()
     else:
-        coarse = np.linspace(lo, hi, 17)
-    # The scan's kernels come as one batch; each eta equals numeric_efficiency's.
-    etas = np.array([
-        0.0 if k is None else _kernel_efficiency(config, k, 0.0)
-        for k in _ladder_kernels(config, coarse)
-    ])
+        coarse = np.linspace(lo, hi, 17).tolist()
+    etas = _zero_delay_etas(config, coarse)
     best = int(np.argmax(etas))
     if etas[best] <= 0.5:
         raise NoBracket(
             f"efficiency peaks at {etas[best]:.3g} <= 0.5 on [{lo:g}, {hi:g}] J"
         )
-    left = coarse[max(best - 1, 0)]
-    right = coarse[min(best + 1, len(coarse) - 1)]
-    if left == right:
-        return float(coarse[best])
-    return float(_bounded_brent(
-        lambda e: -numeric_efficiency(config, float(e), 0.0).eta,
-        left,
-        right,
+    seed = range(max(best - 1, 0), min(best + 2, len(coarse)))
+    return _bracketed_argmax(
+        lambda es: _zero_delay_etas(config, es),
+        {coarse[i]: etas[i] for i in seed},
         xatol=1e-3 * max(coarse[best], hi * 1e-3),
-    ))
+    )
 
 
-def _bounded_brent(
-    func: Callable[[float], float], a: float, b: float, xatol: float, maxfun: int = 500
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_ROUNDS = 100
+
+
+def _bracketed_argmax(
+    objective: Callable[[list[float]], list[float]],
+    seen: dict[float, float],
+    xatol: float,
 ) -> float:
-    """Minimize `func` on [a, b] by Brent's bounded method: golden-section
-    steps plus parabolic ones (R. P. Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 5), ported line for line from
-    ``minimize_scalar(method="bounded")``: the same abscissae are evaluated
-    in the same order, and the same one is returned. Stops after `maxfun`
-    evaluations."""
+    """Maximize a unimodal function on [min(seen), max(seen)], given its
+    values `seen` there, by rounds of batched evaluations.
 
-    def sign(v: float) -> float:
-        # +1 at zero, as np.sign(v) + (v == 0) gives.
-        return -1.0 if v < 0 else 1.0
-
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q  # + 0.0 turns -0.0 into +0.0
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
+    The bracket is the best point and its nearest evaluated neighbours (the
+    best point itself on a side where it is the range end). Each round takes
+    the vertex c of the parabola through the bracket, or the golden-section
+    point of the bracket's larger side when that parabola is flat, c falls
+    outside the bracket or the last round did not halve the bracket; then
+    evaluates the new points of {c - xatol, c, c + xatol} that lie in the
+    range as one `objective` call. The search stops when both neighbours lie
+    within `xatol` of the best point, or after `_MAX_ROUNDS` rounds, and
+    returns the best point, an evaluated abscissa. On a plateau of exactly
+    tied values the search fills the gaps beside it down to `xatol`, so it
+    may run to `_MAX_ROUNDS` there.
+    """
+    seen = dict(seen)
+    left, right = min(seen), max(seen)
+    width = math.inf
+    for _ in range(_MAX_ROUNDS):
+        lo, best, hi = _bracket(seen)
+        # Computed as c -+ xatol were, so a round's own points pass exactly.
+        if lo >= best - xatol and hi <= best + xatol:
             break
-    return xf
+        c = _parabola_vertex(seen, lo, best, hi)
+        # Parabolic steps alone can shrink one side only, round after round.
+        if c is None or not lo < c < hi or hi - lo > 0.5 * width:
+            if best - lo >= hi - best:
+                c = best - _GOLDEN * (best - lo)
+            else:
+                c = best + _GOLDEN * (hi - best)
+        width = hi - lo
+        new = [x for x in (c - xatol, c, c + xatol) if left <= x <= right and x not in seen]
+        seen.update(zip(new, objective(new)))
+    return _bracket(seen)[1]
+
+
+def _bracket(seen: dict[float, float]) -> tuple[float, float, float]:
+    """(left neighbour, best point, right neighbour) among the evaluated
+    points; a missing neighbour is the best point itself. Of tied best
+    points, the one next to the widest gap is taken, so that the search goes
+    on while any gap beside a tied best point is wider than its tolerance."""
+    xs = sorted(seen)
+    top = max(seen.values())
+    brackets = [
+        (xs[max(i - 1, 0)], xs[i], xs[min(i + 1, len(xs) - 1)])
+        for i in range(len(xs))
+        if seen[xs[i]] == top
+    ]
+    return max(brackets, key=lambda t: max(t[1] - t[0], t[2] - t[1]))
+
+
+def _parabola_vertex(seen: dict[float, float], lo: float, best: float, hi: float) -> float | None:
+    """Abscissa of the vertex of the parabola through the bracket, None
+    if that parabola does not open downward."""
+    d_lo, d_hi = best - lo, best - hi
+    g_lo, g_hi = seen[best] - seen[lo], seen[best] - seen[hi]
+    den = d_lo * g_hi - d_hi * g_lo
+    if not den > 0.0:
+        return None
+    return best - 0.5 * (d_lo * d_lo * g_hi - d_hi * d_hi * g_lo) / den
 
 
 def pump_output_spectrum(

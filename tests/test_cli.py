@@ -117,7 +117,9 @@ def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
 
 def test_cold_default_cmd_sweep_starts_each_kernel_once(default_cfg, monkeypatch, tmp_path):
     """Every pump kernel of a cold default sweep runs from launch once: one
-    split-step call per batch of kernels, one row per kernel."""
+    split-step call per batch of kernels, one row per kernel. The batches
+    are the 28-pump ladder, the convergence check's 512-step kernel and the
+    calibration's one refinement round of 3."""
     kernels, rows = [], []
     compute = ks.switch.compute_xpm_kernels
     split_step = ks.propagation._split_step
@@ -140,6 +142,7 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(default_cfg, monkeypatch
         ks.switch._kernel_cache.clear()
         ks.switch._kernel_cache.update(cached)
     assert rows == kernels
+    assert kernels == [28, 1, 3]
 
 
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):
@@ -363,27 +366,10 @@ class TestCliMain:
         assert (tmp_path / "envout" / "calibration.json").exists()
 
 
-def test_cli_leaves_scipy_optimize_unloaded():
-    """Only calibration needs scipy.optimize, so importing the CLI and
-    validating a config in a fresh interpreter must not load it."""
-    src = str(Path(ks.__file__).resolve().parents[1])
-    code = (
-        "import sys; from kerrswitch.cli import main; main(['validate-config']); "
-        "print('scipy.optimize' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "False"
-
-
 def test_calibrate_and_sweep_load_no_scipy(tmp_path):
-    """Every command runs on numpy alone: after a calibrate and a sweep in a
-    fresh interpreter, no scipy module is loaded."""
+    """Every command runs on numpy alone: in a fresh interpreter, no scipy
+    module is loaded after importing the CLI and validating a config, nor
+    after a calibrate and a sweep."""
     doc = {
         "grid": {"n_samples": 1024, "window_ps": 40.0},
         "solver": {"steps": 16},
@@ -394,9 +380,11 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
     cfg_path.write_text(json.dumps(doc))
     code = (
         "import sys; from kerrswitch.cli import main; cfg, out = sys.argv[1:]; "
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert main(['validate-config']) == 0; print(scipy()); "
         "assert main(['calibrate', '--config', cfg, '--out', out + '/cal']) == 0; "
         "assert main(['sweep', '--config', cfg, '--out', out + '/sweep']) == 0; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(scipy())"
     )
     src = str(Path(ks.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -406,5 +394,6 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "[]"
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[]", "[]"]
     assert (tmp_path / "sweep" / "surface.csv").exists()

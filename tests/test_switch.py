@@ -130,92 +130,147 @@ class TestCalibration:
             ks.calibrate_pi_energy(cfg)
 
     def test_default_energy_is_pinned(self, calibrated_energy):
-        assert calibrated_energy / NJ == 7.80979957760351
+        assert calibrated_energy / NJ == 7.81004050850529
 
-    def test_default_refinement_matches_scipy(self, default_cfg, calibrated_energy, monkeypatch):
-        """The refinement's bracket, tolerance and objective, handed to
-        scipy's bounded search, give the same energy (development check)."""
+    def test_cold_default_refinement_is_one_batch_of_three(self, default_cfg, monkeypatch):
+        """The coarse scan's 28 kernels come as one batch, and the refinement
+        stops after one round: the parabola's vertex and the points xatol on
+        either side of it, as one more batch."""
+        batches = []
+        compute = ks.switch.compute_xpm_kernels
+
+        def counting(pumps, *args):
+            batches.append(len(pumps))
+            return compute(pumps, *args)
+
+        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+        cached = dict(ks.switch._kernel_cache)
+        ks.switch._kernel_cache.clear()
+        try:
+            energy = ks.calibrate_pi_energy(default_cfg)
+        finally:
+            ks.switch._kernel_cache.clear()
+            ks.switch._kernel_cache.update(cached)
+        assert batches == [28, 3]
+        assert energy / NJ == 7.81004050850529
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"pump": {"fwhm_fs": 360.0}, "solver": {"steps": 128}},
+        {
+            "grid": {"n_samples": 1024, "window_ps": 40.0},
+            "solver": {"steps": 16},
+            "pump": {"energy_nj": 4.0},
+            "sweep": {"energies_nj": [0.0, 4.0, 8.0, 12.0], "delays_ps": [-1.0, 0.0, 1.0]},
+        },
+    ], ids=["default", "wide-pump", "16-steps"])
+    def test_refinement_matches_a_tight_bounded_search(self, doc, monkeypatch):
+        """The refinement lands within its xatol of scipy's bounded search
+        run on the same objective and bracket at xatol / 1000 (development
+        check)."""
         optimize = pytest.importorskip("scipy.optimize")
+        cfg = ks.parse_config(json.dumps(doc))
         searches = []
-        search = ks.switch._bounded_brent
+        search = ks.switch._bracketed_argmax
 
-        def recording(func, a, b, xatol):
-            searches.append((func, a, b, xatol))
-            return search(func, a, b, xatol)
+        def recording(objective, seen, xatol):
+            searches.append((seen, xatol))
+            return search(objective, seen, xatol)
 
-        monkeypatch.setattr(ks.switch, "_bounded_brent", recording)
-        energy = ks.calibrate_pi_energy(default_cfg)
-        [(func, a, b, xatol)] = searches
-        assert type(a) is np.float64 and type(b) is np.float64
-        res = optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
-                                       options={"xatol": xatol})
-        assert energy == float(res.x) == calibrated_energy
+        monkeypatch.setattr(ks.switch, "_bracketed_argmax", recording)
+        energy = ks.calibrate_pi_energy(cfg)
+        [(seen, xatol)] = searches
+        res = optimize.minimize_scalar(
+            lambda e: -ks.numeric_efficiency(cfg, float(e), 0.0).eta,
+            bounds=(min(seen), max(seen)),
+            method="bounded",
+            options={"xatol": xatol / 1000},
+        )
+        assert abs(energy - res.x) <= xatol
 
 
 def _unimodal(shape, centre, width):
-    """A function of x with one minimum (or one flat bottom), at `centre`, on
-    a scale `width`."""
+    """A function of x with one maximum (or one flat top), at `centre`, on a
+    scale `width`."""
     if shape == "parabola":
-        return lambda x: ((x - centre) / width) ** 2
+        return lambda x: -(((x - centre) / width) ** 2)
     if shape == "cusp":
-        return lambda x: abs((x - centre) / width) ** 0.5
-    if shape == "well":
-        return lambda x: -math.exp(-(((x - centre) / width) ** 2))
+        return lambda x: -(abs((x - centre) / width) ** 0.5)
     if shape == "terraces":  # flat steps: ties between evaluations
-        return lambda x: math.floor(8.0 * ((x - centre) / width) ** 2)
-    return lambda x: math.expm1((x - centre) / width) - (x - centre) / width  # skewed
+        return lambda x: -math.floor(8.0 * ((x - centre) / width) ** 2)
+    return lambda x: (x - centre) / width - math.expm1((x - centre) / width)  # skewed
 
 
-class TestBoundedBrent:
-    """`switch._bounded_brent`, and against scipy's ``minimize_scalar(method=
-    "bounded")``, which it ports: the same abscissae evaluated in the same
-    order, and the same answer. The comparison is a development check that
-    skips without scipy."""
+def _argmax_set(shape, centre, width, a, b):
+    """(first, last) point of the set where `_unimodal` peaks on [a, b]."""
+    nearest = min(max(centre, a), b)
+    if shape != "terraces":
+        return nearest, nearest
+    level = math.floor(8.0 * ((nearest - centre) / width) ** 2)
+    half = width * math.sqrt((level + 1) / 8.0)
+    return max(centre - half, a), min(centre + half, b)
 
-    def test_matches_scipy_on_unimodal_functions(self):
-        optimize = pytest.importorskip("scipy.optimize")
+
+class TestBracketedArgmax:
+    """`switch._bracketed_argmax`, seeded as calibration seeds it: the best
+    point of a coarse scan and its neighbours."""
+
+    def test_finds_the_maximum_on_unimodal_functions(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(
-            shape=st.sampled_from(["parabola", "cusp", "well", "terraces", "skewed"]),
+            shape=st.sampled_from(["parabola", "cusp", "terraces", "skewed"]),
             lo=st.floats(-1e3, 1e3),
             span=st.floats(1e-6, 1e3),
-            # 0 and 1 put the minimum on a bound, beyond [0, 1] outside it.
+            # 0 and 1 put the maximum on a bound, beyond [0, 1] outside it.
             at=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1.0, 2.0)),
             scale=st.floats(1e-2, 1e2),
-            tol=st.floats(1e-12, 0.5),
-            maxfun=st.sampled_from([500, 2, 7, 20]),
+            tol=st.floats(1e-6, 0.1),
+            n=st.integers(2, 17),
         )
-        def check(shape, lo, span, at, scale, tol, maxfun):
-            a, b = np.float64(lo), np.float64(lo + span)
+        # Parabolic rounds that stall on one side, without the golden-section
+        # fallback when a round does not halve the bracket.
+        @hypothesis.example("skewed", 364.3913882570697, 364.3913882570697,
+                            0.3483313802943848, 0.01, 1e-6, 10)
+        # A tie on a lower terrace, beside a gap that holds the top.
+        @hypothesis.example("terraces", -4.6490703623173554e-79, 351.97239691137355,
+                            0.08729019224342283, 0.01, 1e-6, 3)
+        def check(shape, lo, span, at, scale, tol, n):
+            a, b = lo, lo + span
             hypothesis.assume(b > a)
             func = _unimodal(shape, lo + at * span, scale * span)
+            coarse = [float(x) for x in np.linspace(a, b, n)]
+            values = [func(x) for x in coarse]
+            best = int(np.argmax(values))
+            seed = range(max(best - 1, 0), min(best + 2, n))
+            rounds = []
+
+            def objective(xs):
+                rounds.append(xs)
+                return [func(x) for x in xs]
+
             xatol = tol * span
-            ours, theirs = [], []
-
-            def f_ours(x):
-                ours.append(x)
-                return func(x)
-
-            def f_theirs(x):
-                theirs.append(x)
-                return func(x)
-
-            x = ks.switch._bounded_brent(f_ours, a, b, xatol, maxfun=maxfun)
-            res = optimize.minimize_scalar(f_theirs, bounds=(a, b), method="bounded",
-                                           options={"xatol": xatol, "maxiter": maxfun})
-            assert x == float(res.x)
-            assert len(ours) == res.nfev
-            assert ours == theirs
+            x = ks.switch._bracketed_argmax(
+                objective, {coarse[i]: values[i] for i in seed}, xatol
+            )
+            first, last = _argmax_set(shape, lo + at * span, scale * span, a, b)
+            assert max(first - x, x - last) <= xatol * (1.0 + 1e-9)
+            assert x in [coarse[i] for i in seed] + [e for xs in rounds for e in xs]
+            assert all(1 <= len(xs) <= 3 for xs in rounds)
+            # Exact ties make a plateau, which the search may sample down to
+            # xatol until its round cap; any other shape stops well before.
+            cap = ks.switch._MAX_ROUNDS if shape == "terraces" else 20
+            assert len(rounds) <= cap
 
         check()
 
-    def test_finds_a_minimum_on_either_bound(self):
-        a, b = np.float64(2.0), np.float64(5.0)
-        assert abs(ks.switch._bounded_brent(lambda x: x, a, b, 1e-6) - a) <= 1e-5
-        assert abs(ks.switch._bounded_brent(lambda x: -x, a, b, 1e-6) - b) <= 1e-5
+    def test_finds_a_maximum_on_either_bound(self):
+        seed = {2.0: 2.0, 3.5: 3.5, 5.0: 5.0}
+        assert ks.switch._bracketed_argmax(lambda xs: xs, seed, 1e-6) == 5.0
+        negated = {x: -x for x in seed}
+        assert ks.switch._bracketed_argmax(lambda xs: [-x for x in xs], negated, 1e-6) == 2.0
 
 
 class TestTemporalMetrics:
