@@ -218,10 +218,12 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     run = _Run(config, out_dir)
     delays = np.asarray(config.sweep.delays, dtype=float)
     etas = efficiency_vs_delay(config, config.pump.energy, delays)
+    # Looked up by delay, not interpolated: the axis need not be ascending.
+    eta_at = dict(zip(delays.tolist(), etas.tolist()))
 
     mc = monte_carlo_experiment(
         config,
-        lambda tau: float(np.interp(tau, delays, etas)),
+        eta_at.__getitem__,
         pulses=config.monte_carlo.pulses_per_delay,
         seed=config.rng_seed,
         n_max=n_max,

@@ -79,53 +79,34 @@ _KERNEL_CACHE_SIZE = 64
 _kernel_cache: OrderedDict[tuple[ExperimentConfig, float, int], XpmKernel] = OrderedDict()
 
 
-def _cached_kernels(
-    config: ExperimentConfig, pump_energies: Iterable[float], steps: int
-) -> list[XpmKernel]:
-    """The kernel at `steps` slices of each (non-zero) energy in
-    `pump_energies`, in order.
-
-    Every kernel the cache lacks is computed in one `compute_xpm_kernels`
-    batch, then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently
-    used kernels; a call for more energies than that still returns them all.
-    """
-    keys = [(config, float(e), steps) for e in pump_energies]
-    missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
-    if missing:
-        pumps = [_make_pump(config, e) for _, e, _ in missing]
-        computed = compute_xpm_kernels(
-            pumps, config.fiber, steps, config.signal.center_wavelength
-        )
-        _kernel_cache.update(zip(missing, computed))
-    kernels = []
-    for key in keys:
-        _kernel_cache.move_to_end(key)
-        kernels.append(_kernel_cache[key])
-    while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-        _kernel_cache.popitem(last=False)
-    return kernels
-
-
-def _cached_kernel(config: ExperimentConfig, pump_energy: float, steps: int) -> XpmKernel:
-    return _cached_kernels(config, [pump_energy], steps)[0]
-
-
-def _ladder_kernels(
-    config: ExperimentConfig, pump_energies: Iterable[float]
+def _kernels(
+    config: ExperimentConfig, energies: Iterable[float], steps: int | None = None
 ) -> Iterator[XpmKernel | None]:
-    """The kernel at ``config.solver.steps`` of each energy in order, None
-    at zero energy.
+    """The kernel at `steps` pump slices (default ``config.solver.steps``) of
+    each of `energies` in order, None at zero energy.
 
-    The energies are taken in blocks of `_KERNEL_CACHE_SIZE`, and each
-    block's missing kernels are computed as one batch, so a ladder of any
-    length holds at most one block of kernels at a time.
+    The energies are taken in blocks of `_KERNEL_CACHE_SIZE`. The kernels a
+    block lacks in the cache are computed as one `compute_xpm_kernels` batch,
+    then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently used
+    kernels, so a ladder of any length holds at most one block of them.
     """
-    energies = [float(e) for e in pump_energies]
+    steps = config.solver.steps if steps is None else steps
+    energies = [float(e) for e in energies]
     for start in range(0, len(energies), _KERNEL_CACHE_SIZE):
         block = energies[start : start + _KERNEL_CACHE_SIZE]
-        kernels = iter(
-            _cached_kernels(config, [e for e in block if e != 0.0], config.solver.steps)
-        )
+        keys = [(config, e, steps) for e in block if e != 0.0]
+        missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
+        if missing:
+            pumps = [_make_pump(config, e) for _, e, _ in missing]
+            computed = compute_xpm_kernels(
+                pumps, config.fiber, steps, config.signal.center_wavelength
+            )
+            _kernel_cache.update(zip(missing, computed))
+        for key in keys:
+            _kernel_cache.move_to_end(key)
+        kernels = iter([_kernel_cache[key] for key in keys])
+        while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+            _kernel_cache.popitem(last=False)
         for e in block:
             yield None if e == 0.0 else next(kernels)
 
@@ -168,12 +149,34 @@ def efficiency_from_phase(
     return math.sin(2.0 * theta) ** 2 * rotated
 
 
-def _kernel_efficiency(config: ExperimentConfig, kernel: XpmKernel, delay: float) -> float:
-    """Efficiency of the pump `kernel` at `delay`, summed over the signal's
-    support; every simulated efficiency goes through here."""
+def _etas(
+    config: ExperimentConfig,
+    kernels: Iterable[XpmKernel | None],
+    delays: np.ndarray | list[float],
+) -> np.ndarray:
+    """Efficiency of each pump kernel in `kernels` (None: no pump, so 0) at
+    each of `delays`, as a (kernels, delays) array; every simulated
+    efficiency is computed here.
+
+    Each entry samples the kernel's phase on the signal's support and sums
+    the efficiency there, one delay at a time. Summing several delays as one
+    stacked einsum would round differently on supports longer than
+    ``propagation._EINSUM_ROW``, so an entry would no longer equal the
+    one-delay call.
+    """
     times, weights = _signal_support(config)
-    phase = np.interp(times - delay, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0)
-    return efficiency_from_phase(weights, phase, config.geometry.theta)
+    delays = np.asarray(delays, dtype=float)
+    rows = []
+    for kernel in kernels:
+        row = np.zeros(delays.size)
+        if kernel is not None:
+            for j, tau in enumerate(delays):
+                phase = np.interp(
+                    times - tau, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0
+                )
+                row[j] = efficiency_from_phase(weights, phase, config.geometry.theta)
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), delays.size)
 
 
 def numeric_efficiency(
@@ -185,20 +188,17 @@ def numeric_efficiency(
     """Simulation-driven switching efficiency at one (energy, delay) point,
     with `steps` pump slices (default `config.solver.steps`).
 
-    The efficiency is summed over the signal's support only (the weight left
-    out is at most ``WINDOW_MASS_BOUND`` of the total), exactly as in
-    `efficiency_vs_delay`; ``xpm_phase`` is the full-grid phase profile.
+    The efficiency comes from `_etas`, the evaluator every efficiency goes
+    through, summed over the signal's support only (the weight left out is
+    at most ``WINDOW_MASS_BOUND`` of the total); ``xpm_phase`` is the
+    full-grid phase profile.
     """
-    if pump_energy < 0.0:
-        raise ValidationError("pump_energy must be non-negative")
-    steps = config.solver.steps if steps is None else steps
-    if pump_energy == 0.0:
-        return SwitchResult(
-            eta=0.0, delay=delay, pump_energy=0.0, xpm_phase=np.zeros(config.grid.n_samples)
-        )
-    kernel = _cached_kernel(config, pump_energy, steps)
-    eta = _kernel_efficiency(config, kernel, delay)
-    phase = sample_xpm_phase(kernel, config.grid, delay)
+    (kernel,) = _kernels(config, [pump_energy], steps)
+    eta = float(_etas(config, [kernel], [delay])[0, 0])
+    if kernel is None:
+        phase = np.zeros(config.grid.n_samples)
+    else:
+        phase = sample_xpm_phase(kernel, config.grid, delay)
     return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy, xpm_phase=phase)
 
 
@@ -210,50 +210,26 @@ def efficiency_vs_delay(
     """Efficiency along a delay axis at fixed pump energy (one propagation of
     `config.solver.steps` slices).
 
-    Each delay samples the kernel's phase on the signal's support only and
-    sums the efficiency there, as `numeric_efficiency` does, so an entry
-    equals the direct call at that delay.
+    The row comes from `_etas`, the evaluator `numeric_efficiency` uses, one
+    delay at a time, so an entry equals the direct call at that delay.
     """
-    delays = np.asarray(delays, dtype=float)
-    kernel = None
-    if pump_energy != 0.0:
-        kernel = _cached_kernel(config, pump_energy, config.solver.steps)
-    return _efficiency_row(config, kernel, delays)
-
-
-def _efficiency_row(
-    config: ExperimentConfig, kernel: XpmKernel | None, delays: np.ndarray
-) -> np.ndarray:
-    """Efficiency of the pump `kernel` (None: no pump) at each of `delays`."""
-    out = np.zeros(delays.shape)
-    if kernel is not None:
-        for j, tau in enumerate(delays):
-            out[j] = _kernel_efficiency(config, kernel, float(tau))
-    return out
+    return _etas(config, _kernels(config, [pump_energy]), delays)[0]
 
 
 def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     """Efficiency over the configured (energy, delay) grid.
 
-    The kernels of every energy are propagated as one batch, then each row
-    is evaluated as `efficiency_vs_delay` would, in axis order, on the
-    calling thread. Every kernel lands in the shared kernel cache, where
-    calibration and the slices find it. `workers` is accepted for callers
-    that pass it (perfbench's probes do) and changes nothing.
+    The kernels of the energy axis are propagated as one batch per block of
+    `_KERNEL_CACHE_SIZE`, then every row is evaluated by `_etas`, the
+    evaluator `efficiency_vs_delay` uses, in axis order, on the calling
+    thread. Every kernel lands in the shared kernel cache, where calibration
+    and the slices find it. `workers` is accepted for callers that pass it
+    (perfbench's probes do) and changes nothing.
     """
     energies = np.asarray(config.sweep.energies, dtype=float)
     delays = np.asarray(config.sweep.delays, dtype=float)
-    rows = [_efficiency_row(config, k, delays) for k in _ladder_kernels(config, energies)]
-    return SweepSurface(energies=energies, delays=delays, eta_grid=np.vstack(rows))
-
-
-def _zero_delay_etas(config: ExperimentConfig, pump_energies: list[float]) -> list[float]:
-    """Zero-delay efficiency at each energy, with the missing kernels
-    propagated as one batch; each equals ``numeric_efficiency``'s."""
-    return [
-        0.0 if k is None else _kernel_efficiency(config, k, 0.0)
-        for k in _ladder_kernels(config, pump_energies)
-    ]
+    eta_grid = _etas(config, _kernels(config, energies), delays)
+    return SweepSurface(energies=energies, delays=delays, eta_grid=eta_grid)
 
 
 def calibrate_pi_energy(config: ExperimentConfig) -> float:
@@ -276,7 +252,11 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
         coarse = np.sort(energies).tolist()
     else:
         coarse = np.linspace(lo, hi, 17).tolist()
-    etas = _zero_delay_etas(config, coarse)
+
+    def zero_delay_etas(es: list[float]) -> list[float]:
+        return _etas(config, _kernels(config, es), [0.0])[:, 0].tolist()
+
+    etas = zero_delay_etas(coarse)
     best = int(np.argmax(etas))
     if etas[best] <= 0.5:
         raise NoBracket(
@@ -284,7 +264,7 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
         )
     seed = range(max(best - 1, 0), min(best + 2, len(coarse)))
     return _bracketed_argmax(
-        lambda es: _zero_delay_etas(config, es),
+        zero_delay_etas,
         {coarse[i]: etas[i] for i in seed},
         xatol=1e-3 * max(coarse[best], hi * 1e-3),
     )
@@ -379,7 +359,7 @@ def pump_output_spectra(
     the whole ladder propagated as one batch."""
     return [
         pump_spectrum(_make_pump(config, 1e-12) if k is None else k.pump_final)
-        for k in _ladder_kernels(config, pump_energies)
+        for k in _kernels(config, pump_energies)
     ]
 
 
@@ -418,12 +398,16 @@ def full_width(x: np.ndarray, y: np.ndarray, fraction: float) -> float:
     Interpolates linearly in y (not in dB) between samples.
 
     Raises:
+        ValidationError: if `x` has fewer than 16 samples or does not
+            strictly increase.
         NoCrossing: if the curve never drops below the level on one side.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 16:
         raise ValidationError("need at least 16 samples to measure a width")
+    if not np.all(np.diff(x) > 0.0):
+        raise ValidationError("x must be strictly increasing")
     if not (0.0 < fraction < 1.0):
         raise ValidationError("fraction must lie in (0, 1)")
     peak = int(np.argmax(y))
@@ -455,12 +439,16 @@ def flat_top_span(delays: np.ndarray, etas: np.ndarray, level: float) -> float:
     """Width of the contiguous region around the maximum where eta >= level.
 
     Raises:
+        ValidationError: if `delays` has fewer than 16 samples or does not
+            strictly increase.
         EmptySpan: if the maximum itself lies below `level`.
     """
     delays = np.asarray(delays, dtype=float)
     etas = np.asarray(etas, dtype=float)
     if delays.size < 16:
         raise ValidationError("need at least 16 samples to measure a span")
+    if not np.all(np.diff(delays) > 0.0):
+        raise ValidationError("delays must be strictly increasing")
     peak = int(np.argmax(etas))
     if etas[peak] < level:
         raise EmptySpan(f"maximum {etas[peak]:.4g} lies below the requested level {level:g}")

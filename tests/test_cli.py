@@ -311,6 +311,35 @@ class TestCliMain:
             assert main(["validate-config", "--config", str(path)]) == 0
         assert main(["validate-config", "--config", str(path), "--strict"]) == 2
 
+    def test_descending_delays_fock_matches_exact_rows(self, tmp_path, capsys):
+        """Each Monte Carlo row draws at the efficiency of its own delay when
+        the delay axis descends."""
+        doc = {"sweep": {"delays_ps": [0.6, 0.0, -0.6]}}
+        out = tmp_path / "out"
+        code = main(["fock", "--config", self.write_config(tmp_path, doc),
+                     "--out", str(out), "--n-max", "1"])
+        assert code == 0
+        curves = json.loads((out / "fock_probs.json").read_text())["curves"]
+        exact = {c["n_S"]: c["probability"] for c in curves if c["kind"] == "exact"}
+        sampled = [c for c in curves if c["kind"] == "monte_carlo"]
+        assert len(sampled) == 2
+        for curve in sampled:
+            for p, err, q in zip(curve["probability"], curve["stderr"], exact[curve["n_S"]]):
+                assert err > 0.0
+                assert abs(p - q) <= 5.0 * err
+
+    def test_descending_delays_sweep_writes_no_negative_width(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_DOC))
+        doc["sweep"]["delays_ps"] = doc["sweep"]["delays_ps"][::-1]
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", self.write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["fw10db_ps"] is None
+        assert metrics["flat98_span_fs"] is None
+        assert "fw10db unavailable" in metrics["note"]
+        assert "flat98 unavailable" in metrics["note"]
+
     def test_sweep_command_end_to_end(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         out = tmp_path / "out"

@@ -504,7 +504,7 @@ def test_end_guard_reruns_from_launch(runs, monkeypatch):
     assert runs == [[1024], [2048]]
     assert kernel.window_samples == 2048
     cfg = ks.default_config()
-    got = ks.switch._efficiency_row(cfg, kernel, np.asarray(cfg.sweep.delays))
+    got = ks.switch._etas(cfg, [kernel], cfg.sweep.delays)[0]
     reference = _reference_row(cfg, pump)
     assert reference.max() > 0.1
     assert np.abs(got - reference).max() <= 1e-12

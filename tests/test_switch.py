@@ -311,6 +311,19 @@ class TestTemporalMetrics:
         with pytest.raises(EmptySpan):
             ks.flat_top_span(delays, etas, 0.98)
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_axis_that_does_not_increase_is_rejected(self, order):
+        delays = np.linspace(-5e-12, 5e-12, 101)
+        etas = np.where(np.abs(delays) <= 1.5e-12, 1.0, 0.05)
+        if order == "reversed":
+            index = np.arange(delays.size)[::-1]
+        else:
+            index = np.random.default_rng(5).permutation(delays.size)
+        with pytest.raises(ValidationError):
+            ks.full_width(delays[index], etas[index], 0.1)
+        with pytest.raises(ValidationError):
+            ks.flat_top_span(delays[index], etas[index], 0.98)
+
 
 class TestDelayProfile:
     def test_resolution_and_span_windows(self, default_cfg, calibrated_energy):
@@ -338,6 +351,20 @@ class TestDelayProfile:
         curve_wide = ks.efficiency_vs_delay(wide, e_wide, delays)
         span_wide = ks.flat_top_span(delays, curve_wide, 0.98)
         assert span_wide > span_base
+
+
+def test_row_equals_direct_calls_on_a_wide_signal_support():
+    """A 4000 fs signal has a support longer than ``propagation._EINSUM_ROW``,
+    where a stacked multi-delay einsum would round differently; each entry
+    of the row still equals the one-delay call bit for bit."""
+    cfg = ks.parse_config(json.dumps({"signal": {"fwhm_fs": 4000.0}, "solver": {"steps": 16}}))
+    assert ks.switch._signal_support(cfg)[0].size > ks.propagation._EINSUM_ROW
+    delays = np.asarray(cfg.sweep.delays)
+    assert delays.size == 121
+    row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
+    direct = [ks.numeric_efficiency(cfg, 8e-9, float(tau)).eta for tau in delays]
+    assert row.max() > 0.1
+    assert row.tolist() == direct
 
 
 class TestSweepSurface:
