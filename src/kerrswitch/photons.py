@@ -147,19 +147,30 @@ def apply_loss(
     return JointPhotonDistribution(probs=probs / probs.sum())
 
 
+def binomial_splits(n_photons: int, etas) -> np.ndarray:
+    """Variable-beamsplitter output probabilities for an N-photon input at
+    each efficiency in `etas`, as a (len(etas), N + 1) array.
+
+    Row e is C(N, k) * eta_e^k * (1 - eta_e)^(N - k) over k = 0..N, divided
+    by its sum.
+    """
+    if n_photons < 0:
+        raise ValidationError("photon number must be non-negative")
+    eta = np.asarray(etas, dtype=float).reshape(-1, 1)
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):
+        raise ValidationError("eta must lie in [0, 1]")
+    k = np.arange(n_photons + 1)
+    coeff = np.array([math.comb(n_photons, int(i)) for i in k], dtype=float)
+    probs = coeff * eta**k * (1.0 - eta) ** (n_photons - k)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def binomial_split(n_photons: int, eta: float) -> SplitDistribution:
     """Variable-beamsplitter output probabilities for an N-photon input.
 
     probs[k] = C(N, k) * eta^k * (1 - eta)^(N - k).
     """
-    if n_photons < 0:
-        raise ValidationError("photon number must be non-negative")
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError("eta must lie in [0, 1]")
-    k = np.arange(n_photons + 1)
-    coeff = np.array([math.comb(n_photons, int(i)) for i in k], dtype=float)
-    probs = coeff * eta**k * (1.0 - eta) ** (n_photons - k)
-    return SplitDistribution(herald=n_photons, probs=probs / probs.sum())
+    return SplitDistribution(herald=n_photons, probs=binomial_splits(n_photons, [eta])[0])
 
 
 def split_vs_delay(config: ExperimentConfig, n_photons: int) -> list[SplitDistribution]:
@@ -174,7 +185,7 @@ def split_vs_delay(config: ExperimentConfig, n_photons: int) -> list[SplitDistri
         raise ValidationError("n_photons must be >= 1")
     delays = np.asarray(config.sweep.delays, dtype=float)
     etas = efficiency_vs_delay(config, config.pump.energy, delays)
-    return [binomial_split(n_photons, float(e)) for e in etas]
+    return [SplitDistribution(herald=n_photons, probs=p) for p in binomial_splits(n_photons, etas)]
 
 
 def eta_exp(counts: CountRecord) -> EtaEstimate:
@@ -285,9 +296,8 @@ def _outcome_cells(config: ExperimentConfig, n_max: int, etas):
     for t in range(min(top, n_max) + 1):
         counted[t] = sum(joint[h, h - t] for h in range(max(t, 1), n_max + 1))
     routing = np.zeros((len(etas), n_max + 1, n_max + 1))
-    for e, eta in enumerate(etas):
-        for s in range(n_max + 1):
-            routing[e, s, : s + 1] = binomial_split(s, eta).probs
+    for s in range(n_max + 1):
+        routing[:, s, : s + 1] = binomial_splits(s, etas)
     weight = joint[n, n - a - b] * _poisson_pmf(mean_s, a) * _poisson_pmf(mean_u, b)
     other = np.broadcast_to(totals * (1.0 - counted), (len(etas), top + 1))
     probs = np.hstack((weight * routing[:, n - a - b, k - a], other)) / totals.sum()

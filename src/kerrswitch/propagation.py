@@ -288,9 +288,9 @@ def _split_step(
         a *= into.full if k else into.half
         into.join(rows, np.fft.ifft(a, out=a), gamma_dz)
 
-    for m in np.unique(windows):
+    for m in sorted(set(windows.tolist())):
         rows = np.flatnonzero(windows == m)
-        g = group(int(m))
+        g = group(m)
         a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
         norms[0, rows] = _norm2(a)
         np.fft.fft(a, out=a)

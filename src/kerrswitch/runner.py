@@ -3,7 +3,10 @@
 Every command writes its artifacts into an output directory plus a
 manifest.json describing the run. CSV files use RFC-style quoting, '.'
 decimals, a mandatory header row, and a newline-terminated final row; numbers
-are formatted with %.12g so reruns are byte-identical.
+are formatted with %.12g so reruns are byte-identical. A table is written in
+blocks of rows, each row through one format string built from the table's
+first row; rows that string cannot render as csv.writer would (a quoted
+label, a column of another kind) go through csv.writer value by value.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +24,10 @@ from . import __version__
 from .config_io import config_hash, emit_config
 from .core import ExperimentConfig, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, ValidationError
-from .photons import binomial_split, monte_carlo_experiment
-# `propagate` and `pump_output_spectrum` are no longer called here;
-# perfbench's tracer wraps them under this module's name, so the bindings stay.
+# `binomial_split`, `propagate` and `pump_output_spectrum` are no longer
+# called here; perfbench's tracer wraps them under this module's name, so the
+# bindings stay.
+from .photons import binomial_split, binomial_splits, monte_carlo_experiment
 from .propagation import (
     clip_spectrum_support,
     propagate,
@@ -46,6 +51,7 @@ from .tof import spectrum_to_histogram
 _PS = 1e-12
 _FS = 1e-15
 _NJ = 1e-9
+_CSV_BLOCK = 4096  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,29 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _format_block(fmt: str, width: int, labels: list[int], block: list) -> str | None:
+    """`block`'s CSV text in the row format `fmt`, or None where that text
+    would differ from csv.writer's: a row of another width, a non-str label,
+    a non-number value, or a label holding a delimiter, quote, CR or LF (an
+    empty label in a one-column row shows up as an empty line)."""
+    if not all(type(row[i]) is str for i in labels for row in block):
+        return None
+    try:
+        text = "".join([fmt % tuple(row) for row in block])
+    except TypeError:
+        return None
+    if (
+        text.count(",") != (width - 1) * len(block)
+        or text.count("\n") != len(block)
+        or '"' in text
+        or "\r" in text
+        or "\n\n" in text
+        or text.startswith("\n")
+    ):
+        return None
+    return text
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
@@ -86,14 +115,30 @@ class _Run:
         self.entries: list[ManifestEntry] = []
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
+        """Write `header` and `rows` as CSV, _CSV_BLOCK rows per write.
+
+        The first row fixes the row format: a label (str) column is written
+        as is, any other column with %.12g. A block that does not fit that
+        format, or holds a label csv.writer would quote, is written value by
+        value through csv.writer and `_fmt` instead, with the same bytes.
+        """
         path = self.out_dir / name
         count = 0
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-                count += 1
+            rows = iter(rows)
+            while block := list(islice(rows, _CSV_BLOCK)):
+                if not count:
+                    labels = [i for i, v in enumerate(block[0]) if isinstance(v, str)]
+                    width = len(block[0])
+                    fmt = ",".join("%s" if isinstance(v, str) else "%.12g" for v in block[0]) + "\n"
+                text = _format_block(fmt, width, labels, block)
+                if text is None:
+                    writer.writerows([_fmt(v) for v in row] for row in block)
+                else:
+                    handle.write(text)
+                count += len(block)
         self._record(name, path, count)
         return path
 
@@ -149,10 +194,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     run.write_csv(
         "surface.csv",
         header,
-        (
-            [_fmt(delays[j] / _PS)] + [_fmt(surface.eta_grid[i, j]) for i in range(energies.size)]
-            for j in range(delays.size)
-        ),
+        ([delays[j] / _PS, *surface.eta_grid[:, j].tolist()] for j in range(delays.size)),
     )
 
     metrics: dict = {
@@ -231,7 +273,7 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
 
     records = []
     for n in range(1, n_max + 1):
-        exact = [binomial_split(n, float(e)) for e in etas]
+        exact = binomial_splits(n, etas)
         for k in range(n + 1):
             records.append(
                 {
@@ -239,7 +281,7 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
                     "N": n,
                     "n_S": k,
                     "n_U": n - k,
-                    "probability": [dist.probs[k] for dist in exact],
+                    "probability": exact[:, k].tolist(),
                     "stderr": [0.0] * delays.size,
                 }
             )

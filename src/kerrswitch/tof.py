@@ -66,13 +66,19 @@ def spectrum_to_histogram(
     t_lo = min(t_ends) - pad
     t_hi = max(t_ends) + pad
     n_bins = int(math.ceil((t_hi - t_lo) / bin_width))
+    half = int(math.ceil(5.0 * sigma / bin_width))
+    if 2 * half + 1 > n_bins:
+        # np.convolve(mode="same") returns the longer operand's length, so
+        # widen the range on both sides until the jitter kernel fits in it.
+        extra = (2 * half + 2 - n_bins) // 2
+        t_lo -= extra * bin_width
+        n_bins += 2 * extra
     edges = t_lo + bin_width * np.arange(n_bins + 1)
     lam_at_edges = spec.reference_wavelength + edges / spec.dispersion
     cdf_at_edges = np.interp(lam_at_edges, wavelengths, cdf, left=0.0, right=cdf[-1])
     bin_mass = np.abs(np.diff(cdf_at_edges))
 
     if sigma > 0.0:
-        half = int(math.ceil(5.0 * sigma / bin_width))
         k = np.arange(-half, half + 1) * bin_width
         kernel = np.exp(-0.5 * (k / sigma) ** 2)
         kernel /= kernel.sum()

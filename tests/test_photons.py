@@ -103,6 +103,71 @@ class TestBinomialSplit:
         assert dist.mean_switched() == pytest.approx(n * eta, abs=1e-12)
 
 
+def _scalar_split(n, eta):
+    """The one-efficiency formula `binomial_splits` batches, kept as written
+    before it was batched."""
+    k = np.arange(n + 1)
+    coeff = np.array([math.comb(n, int(i)) for i in k], dtype=float)
+    probs = coeff * eta**k * (1.0 - eta) ** (n - k)
+    return probs / probs.sum()
+
+
+class TestBinomialSplits:
+    EDGES = [0.0, 1.0, 5e-324, 1.0 - 1e-16]
+
+    def test_rows_equal_the_scalar_formula_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            n=st.integers(0, 10),
+            etas=st.lists(
+                st.one_of(st.sampled_from(self.EDGES), st.floats(0.0, 1.0)),
+                min_size=1,
+                max_size=20,
+            ),
+        )
+        @hypothesis.example(10, self.EDGES)
+        def check(n, etas):
+            rows = ks.binomial_splits(n, etas)
+            assert rows.shape == (len(etas), n + 1)
+            for eta, row in zip(etas, rows):
+                assert row.tobytes() == _scalar_split(n, eta).tobytes()
+                assert ks.binomial_split(n, eta).probs.tobytes() == row.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("eta", EDGES)
+    @pytest.mark.parametrize("n", range(11))
+    def test_edge_efficiencies(self, n, eta):
+        row = ks.binomial_splits(n, [0.5, eta])[1]
+        assert row.tobytes() == _scalar_split(n, eta).tobytes()
+
+    def test_rejections_match_the_scalar_call(self):
+        cases = [
+            (-1, 0.5, "photon number must be non-negative"),
+            (3, -1e-12, "eta must lie in"),
+            (3, 1.0 + 1e-12, "eta must lie in"),
+            (3, math.nan, "eta must lie in"),
+        ]
+        for n, eta, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                ks.binomial_split(n, eta)
+            with pytest.raises(ValidationError, match=message):
+                ks.binomial_splits(n, [0.5, eta])
+
+    def test_split_vs_delay_rows_equal_the_scalar_formula(self):
+        cfg = _mc_config()
+        delays = np.asarray(cfg.sweep.delays, dtype=float)
+        etas = ks.efficiency_vs_delay(cfg, cfg.pump.energy, delays)
+        dists = ks.split_vs_delay(cfg, 6)
+        assert len(dists) == delays.size
+        for eta, dist in zip(etas, dists):
+            assert dist.herald == 6
+            assert dist.probs.tobytes() == _scalar_split(6, float(eta)).tobytes()
+
+
 class TestSplitVsDelay:
     def test_composition_with_switch(self, default_cfg, calibrated_energy):
         n = 6

@@ -76,6 +76,16 @@ class TestSpectrumToHistogram:
         assert c_pos[np.argmax(h_pos)] == pytest.approx(1033e-12, abs=6e-12)
         assert c_neg[np.argmax(h_neg)] == pytest.approx(-1033e-12, abs=6e-12)
 
+    def test_jitter_kernel_longer_than_the_bin_range(self):
+        # A 2000 ps jitter kernel spans more 2 ps bins than the 0.2 nm
+        # spectrum and its padding; the range widens to fit it, centred.
+        lam = np.linspace(LAM0 - 0.1e-9, LAM0 + 0.1e-9, 201)
+        dens = np.exp(-0.5 * ((lam - LAM0) / 0.02e-9) ** 2)
+        centers, hist = ks.spectrum_to_histogram(spec(jitter=2000e-12), lam, dens, bin_width=2e-12)
+        assert hist.size == centers.size
+        assert hist.sum() * 2e-12 == pytest.approx(1.0, abs=1e-9)
+        assert abs(centers[np.argmax(hist)]) <= 2e-12
+
     def test_degenerate_bins_rejected(self):
         lam, dens = gaussian_spectrum(0.0, 0.2e-9)
         with pytest.raises(DegenerateBins):
