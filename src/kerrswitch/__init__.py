@@ -60,7 +60,6 @@ from .photons import (
     SplitDistribution,
     apply_loss,
     binomial_split,
-    binomial_splits,
     eta_exp,
     monte_carlo_experiment,
     snr,
@@ -93,7 +92,6 @@ __all__ = [
     "apply_loss",
     "arrival_time",
     "binomial_split",
-    "binomial_splits",
     "calibrate_pi_energy",
     "clip_spectrum_support",
     "cmd_calibrate",

@@ -1,12 +1,11 @@
 """Sweep orchestration and result serialization: the commands behind the CLI.
 
 Every command writes its artifacts into an output directory plus a
-manifest.json describing the run. CSV files use RFC-style quoting, '.'
-decimals, a mandatory header row, and a newline-terminated final row; numbers
-are formatted with %.12g so reruns are byte-identical. A table is written in
-blocks of rows, each row through one format string built from the table's
-first row; rows that string cannot render as csv.writer would (a quoted
-label, a column of another kind) go through csv.writer value by value.
+manifest.json describing the run. CSV files use '.' decimals, a mandatory
+header row (quoted RFC-style by csv.writer), and a newline-terminated final
+row; numbers are formatted with %.12g so reruns are byte-identical. A table
+is written in blocks of rows, each row through one format string built from
+the table's first row; its labels are program constants that need no quoting.
 """
 
 from __future__ import annotations
@@ -77,29 +76,6 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _format_block(fmt: str, width: int, labels: list[int], block: list) -> str | None:
-    """`block`'s CSV text in the row format `fmt`, or None where that text
-    would differ from csv.writer's: a row of another width, a non-str label,
-    a non-number value, or a label holding a delimiter, quote, CR or LF (an
-    empty label in a one-column row shows up as an empty line)."""
-    if not all(type(row[i]) is str for i in labels for row in block):
-        return None
-    try:
-        text = "".join([fmt % tuple(row) for row in block])
-    except TypeError:
-        return None
-    if (
-        text.count(",") != (width - 1) * len(block)
-        or text.count("\n") != len(block)
-        or '"' in text
-        or "\r" in text
-        or "\n\n" in text
-        or text.startswith("\n")
-    ):
-        return None
-    return text
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
@@ -118,26 +94,18 @@ class _Run:
         """Write `header` and `rows` as CSV, _CSV_BLOCK rows per write.
 
         The first row fixes the row format: a label (str) column is written
-        as is, any other column with %.12g. A block that does not fit that
-        format, or holds a label csv.writer would quote, is written value by
-        value through csv.writer and `_fmt` instead, with the same bytes.
+        as is, any other column with %.12g, the text of `_fmt`. A row of
+        another width, or a label where a number belongs, raises TypeError.
         """
         path = self.out_dir / name
         count = 0
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
+            csv.writer(handle, lineterminator="\n").writerow(header)
             rows = iter(rows)
             while block := list(islice(rows, _CSV_BLOCK)):
                 if not count:
-                    labels = [i for i, v in enumerate(block[0]) if isinstance(v, str)]
-                    width = len(block[0])
                     fmt = ",".join("%s" if isinstance(v, str) else "%.12g" for v in block[0]) + "\n"
-                text = _format_block(fmt, width, labels, block)
-                if text is None:
-                    writer.writerows([_fmt(v) for v in row] for row in block)
-                else:
-                    handle.write(text)
+                handle.write("".join([fmt % tuple(row) for row in block]))
                 count += len(block)
         self._record(name, path, count)
         return path

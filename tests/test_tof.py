@@ -83,7 +83,7 @@ class TestSpectrumToHistogram:
         dens = np.exp(-0.5 * ((lam - LAM0) / 0.02e-9) ** 2)
         centers, hist = ks.spectrum_to_histogram(spec(jitter=2000e-12), lam, dens, bin_width=2e-12)
         assert hist.size == centers.size
-        assert hist.sum() * 2e-12 == pytest.approx(1.0, abs=1e-9)
+        assert hist[: centers.size].sum() * 2e-12 == pytest.approx(1.0, abs=1e-9)
         assert abs(centers[np.argmax(hist)]) <= 2e-12
 
     def test_degenerate_bins_rejected(self):
