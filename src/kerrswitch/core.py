@@ -79,7 +79,7 @@ class PulseEnvelope:
 
 def energy(pulse: PulseEnvelope) -> float:
     """Total pulse energy, sum(|a_k|^2) * dt, in joules."""
-    return float(np.vdot(pulse.samples, pulse.samples).real * pulse.grid.dt)
+    return float((np.abs(pulse.samples) ** 2).sum(axis=-1) * pulse.grid.dt)
 
 
 def gaussian_peak_power(fwhm: float, pulse_energy: float) -> float:

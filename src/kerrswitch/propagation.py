@@ -135,27 +135,6 @@ def _add_shifted(
     acc[rows, lo:hi] += blend
 
 
-# Longest row, in float64 values, that one stacked einsum sums exactly as it
-# sums the row alone. Past numpy's 8192-element iterator buffer a multi-row
-# einsum splits each row into chunks, which changes its rounding.
-_EINSUM_ROW = 8192
-
-
-def _norm2(x: np.ndarray) -> np.ndarray:
-    """sum(|x|^2) of each row of a complex ``(b, m)`` array.
-
-    einsum, not np.vdot: OpenBLAS runs a dot product this long on threads
-    that spin while they wait, burning cores that do no other work. Rows too
-    long for one stacked einsum to sum as it sums a lone row (see
-    ``_EINSUM_ROW``) are summed one at a time; at that length the FFTs, not
-    the extra calls, set the cost.
-    """
-    flat = x.view(np.float64)
-    if flat.shape[-1] <= _EINSUM_ROW:
-        return np.einsum("bi,bi->b", flat, flat)
-    return np.array([np.einsum("i,i->", row, row) for row in flat])
-
-
 def _edge_mass(intensity: np.ndarray) -> np.ndarray:
     """Energy in the outer 1/16 of a window (the last axis): its first and
     last 1/32, one value per row."""
@@ -252,16 +231,21 @@ def _split_step(
     Returns each row's final window size and its output field on that
     window, a ``(b, n_samples)`` array whose row r sums row r's walked-off
     intensity over the slices, and each row's energy at launch and after
-    each slice.
+    each slice. The energies are sums of the time-domain |a|^2 the loop
+    already has: the launch field, each slice midpoint's intensity (the
+    nonlinear step keeps the energy, so a midpoint holds the energy after
+    the slice before it times one half step's loss) and the output field.
+    Each is summed along the last axis, which sums a row the same whatever
+    rows are stacked with it.
     """
     n = grid.n_samples
     dz = fiber.length / steps
     # |half|^2 is this uniform factor: only loss changes the energy.
     half_loss = math.exp(-0.5 * fiber.alpha * dz)
     windows = np.asarray(windows)
-    # sum(|a|^2) of each row at launch (time domain), and after each slice
-    # (frequency domain) divided by the row's window size then.
-    norms = np.empty((steps + 1, windows.size))
+    # sum(|a|^2) of each row at launch, at the midpoints of slices 1 to
+    # steps - 1, and at the end.
+    sums = np.empty((windows.size, steps + 1))
     phase = np.zeros((windows.size, n))
     # Every size a row can reach, smallest first.
     sizes = [int(windows.min())]
@@ -283,8 +267,6 @@ def _split_step(
         start = g.lo - into.lo
         padded[:, start : start + g.m] = np.fft.ifft(a, out=a)
         a = np.fft.fft(padded, out=padded)
-        if k:
-            norms[k, rows] = _norm2(a) / into.m
         a *= into.full if k else into.half
         into.join(rows, np.fft.ifft(a, out=a), gamma_dz)
 
@@ -292,7 +274,7 @@ def _split_step(
         rows = np.flatnonzero(windows == m)
         g = group(m)
         a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
-        norms[0, rows] = _norm2(a)
+        sums[rows, 0] = (np.abs(a) ** 2).sum(axis=-1)
         np.fft.fft(a, out=a)
         a *= g.half
         g.join(rows, a, gamma_pump[rows] * dz)
@@ -309,35 +291,34 @@ def _split_step(
                 continue
             np.abs(g.a, out=g.intensity)
             g.intensity *= g.intensity
+            total = g.intensity.sum(axis=-1)
             if m < n:
-                total = g.intensity.sum(axis=-1)
                 leave = ~(_edge_mass(g.intensity) <= GROWTH_MASS_BOUND * total)
                 if leave.any():
+                    # The rows that grow are summed again on their new window.
                     grow(g, leave, k)
                     if not g.rows.size:
                         continue
+                    total = total[~leave]
+            if k:
+                sums[g.rows, k] = total
             np.multiply(g.intensity, g.gamma_dz, out=g.work)
             np.cos(g.work, out=g.rotation.real)
             np.sin(g.work, out=g.rotation.imag)
             g.a *= g.rotation
             _add_shifted(phase, g.intensity, shift, g.work, g.lo, g.rows)
             np.fft.fft(g.a, out=g.a)
-            # Dividing by the power of two m rounds nothing.
-            norms[k + 1, g.rows] = _norm2(g.a) / m
             g.a *= g.full if k + 1 < steps else g.half
 
     out_windows = [0] * windows.size
     fields = [None] * windows.size
     for g in groups.values():
         a = np.fft.ifft(g.a, out=g.a) if g.rows.size else g.a
+        sums[g.rows, steps] = (np.abs(a) ** 2).sum(axis=-1)
         for j, r in enumerate(g.rows):
             out_windows[r], fields[r] = g.m, a[j]
-    step_energy = np.empty((windows.size, steps + 1))
-    step_energy[:, 0] = norms[0] * grid.dt
-    # Energy at the end of each slice (Parseval, then the closing half step's
-    # loss); that half step merges with the next slice's opening one.
-    step_energy[:, 1:] = (norms[1:] * half_loss * grid.dt).T
-    return out_windows, fields, phase, step_energy
+    sums[:, 1:steps] /= half_loss
+    return out_windows, fields, phase, sums * grid.dt
 
 
 def compute_xpm_kernels(
@@ -356,7 +337,8 @@ def compute_xpm_kernels(
     midpoints with the walk-off shift applied outside the periodic FFT box
     (zero beyond the grid), so large delays cannot wrap around.
     ``per_step_energy`` holds the pump energy at launch and after each of
-    the `steps` slices.
+    the `steps` slices, summed from the time-domain intensities the
+    split-step already computes (see `_split_step`).
 
     Each pump starts on the smallest power-of-two sub-window, centred in the
     grid and at its ``dt``, that passes two launch guards: at most

@@ -298,14 +298,16 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     run = _Run(config, out_dir)
     energies = np.asarray(config.sweep.energies, dtype=float)
 
-    spectra_rows = []
-    metric_rows = []
-    for e, (wl, density) in zip(energies, pump_output_spectra(config, energies)):
-        wl_c, density_c = clip_spectrum_support(wl, density)
-        spectra_rows.extend(
-            [e / _NJ, wl_c[i], density_c[i]] for i in range(wl_c.size)
-        )
-        metric_rows.append([e / _NJ, full_width(wl, density, 0.5)])
+    spectra = pump_output_spectra(config, energies)
+    metric_rows = [
+        [e / _NJ, full_width(wl, density, 0.5)] for e, (wl, density) in zip(energies, spectra)
+    ]
+    # Streamed: only one rung's rows exist at a time.
+    spectra_rows = (
+        [e / _NJ, w, d]
+        for e, (wl, density) in zip(energies, spectra)
+        for w, d in zip(*clip_spectrum_support(wl, density))
+    )
     run.write_csv("pump_spectra.csv", ["energy_nJ", "wavelength_nm", "density_per_nm"], spectra_rows)
     run.write_csv("spectrum_metrics.csv", ["energy_nJ", "fwhm_nm"], metric_rows)
 

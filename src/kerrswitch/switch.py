@@ -136,17 +136,26 @@ def _signal_support(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def efficiency_from_phase(
     signal_weights: np.ndarray, xpm_phase: np.ndarray, theta: float
-) -> float:
-    """Wavepacket-weighted switching efficiency for a phase profile.
+) -> float | np.ndarray:
+    """Wavepacket-weighted switching efficiency for a phase profile, or for
+    each row of a ``(..., support)`` stack of them.
 
     Each temporal slice of the signal undergoes its own polarization rotation;
     the port split is the intensity-weighted average of the pointwise
-    closed-form efficiency. The weighted sum is an einsum, not np.dot, which
-    would hand it to OpenBLAS threads that spin while they wait and burn cores.
+    closed-form efficiency. The weighted sum runs along the last axis, so a
+    row of a stack gets the same bits as that row alone, at any length; it is
+    no dot product, which OpenBLAS would run on threads that spin while they
+    wait and burn cores. One profile gives a float.
     """
     total = signal_weights.sum()
-    rotated = float(np.einsum("i,i->", signal_weights, np.sin(0.5 * xpm_phase) ** 2) / total)
-    return math.sin(2.0 * theta) ** 2 * rotated
+    rotated = (signal_weights * np.sin(0.5 * xpm_phase) ** 2).sum(axis=-1) / total
+    eta = math.sin(2.0 * theta) ** 2 * rotated
+    return float(eta) if np.ndim(eta) == 0 else eta
+
+
+# Most (delay, support) values `_etas` samples in one block: 8 MB per
+# temporary, however long the signal's support or the delay axis.
+_ETA_BLOCK = 2**20
 
 
 def _etas(
@@ -158,23 +167,26 @@ def _etas(
     each of `delays`, as a (kernels, delays) array; every simulated
     efficiency is computed here.
 
-    Each entry samples the kernel's phase on the signal's support and sums
-    the efficiency there, one delay at a time. Summing several delays as one
-    stacked einsum would round differently on supports longer than
-    ``propagation._EINSUM_ROW``, so an entry would no longer equal the
-    one-delay call.
+    Each kernel's phase is sampled on the signal's support for a block of
+    delays at once, one ``(delays, support)`` array of at most `_ETA_BLOCK`
+    values, and `efficiency_from_phase` sums each of its rows. An entry is
+    the same bits whatever delays share its block, so a row equals the
+    one-delay calls.
     """
     times, weights = _signal_support(config)
     delays = np.asarray(delays, dtype=float)
+    block = max(1, _ETA_BLOCK // times.size)
+    theta = config.geometry.theta
     rows = []
     for kernel in kernels:
         row = np.zeros(delays.size)
         if kernel is not None:
-            for j, tau in enumerate(delays):
+            for start in range(0, delays.size, block):
+                taus = delays[start : start + block, None]
                 phase = np.interp(
-                    times - tau, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0
+                    times - taus, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0
                 )
-                row[j] = efficiency_from_phase(weights, phase, config.geometry.theta)
+                row[start : start + block] = efficiency_from_phase(weights, phase, theta)
         rows.append(row)
     return np.array(rows).reshape(len(rows), delays.size)
 
@@ -189,9 +201,9 @@ def numeric_efficiency(
     with `steps` pump slices (default `config.solver.steps`).
 
     The efficiency comes from `_etas`, the evaluator every efficiency goes
-    through, summed over the signal's support only (the weight left out is
-    at most ``WINDOW_MASS_BOUND`` of the total); ``xpm_phase`` is the
-    full-grid phase profile.
+    through, as a block of one delay; it is summed over the signal's support
+    only (the weight left out is at most ``WINDOW_MASS_BOUND`` of the
+    total). ``xpm_phase`` is the full-grid phase profile.
     """
     (kernel,) = _kernels(config, [pump_energy], steps)
     eta = float(_etas(config, [kernel], [delay])[0, 0])
@@ -210,8 +222,8 @@ def efficiency_vs_delay(
     """Efficiency along a delay axis at fixed pump energy (one propagation of
     `config.solver.steps` slices).
 
-    The row comes from `_etas`, the evaluator `numeric_efficiency` uses, one
-    delay at a time, so an entry equals the direct call at that delay.
+    The row comes from `_etas`, the evaluator `numeric_efficiency` uses, so
+    an entry equals the direct call at that delay.
     """
     return _etas(config, _kernels(config, [pump_energy]), delays)[0]
 
@@ -235,7 +247,8 @@ def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
 def calibrate_pi_energy(config: ExperimentConfig) -> float:
     """Pump energy maximizing the zero-delay efficiency.
 
-    Scans the configured sweep energy range, then refines the bracket around
+    Scans each distinct sweep energy once (17 evenly spaced energies over
+    their range when fewer are distinct), then refines the bracket around
     the best scanned energy by `_bracketed_argmax`, whose rounds each
     propagate their new kernels as one batch. The result is an evaluated
     energy, so its kernel is in the kernel cache. Deterministic for a fixed
@@ -248,8 +261,10 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
         raise NoBracket("sweep energy range is degenerate")
-    if energies.size >= 17:
-        coarse = np.sort(energies).tolist()
+    # A repeated energy would collapse the seed bracket onto one side.
+    distinct = sorted(set(energies.tolist()))
+    if len(distinct) >= 17:
+        coarse = distinct
     else:
         coarse = np.linspace(lo, hi, 17).tolist()
 

@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,39 @@ def test_monte_carlo_accepts_workers():
 
 def test_sweep_surface_accepts_workers():
     assert "workers" in inspect.signature(ks.sweep_surface).parameters
+
+
+def test_traced_sweep_has_the_switch_layers(monkeypatch, tmp_path):
+    """perfbench reads the switch-layer metrics of `sweep` from the spans of
+    `sweep_surface`, `calibrate_pi_energy`, `check_convergence` (its float
+    result) and `efficiency_vs_delay` called directly by `cmd_sweep`; its
+    `_sweep_layers` raises KeyError when one of them is missing."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # run.py imports spans and checks by their bare names; set then delete
+    # each entry, so that monkeypatch drops whatever the test imports.
+    for name in ("spans", "checks", "perfbench_run"):
+        monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.delitem(sys.modules, name)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = run
+    spec.loader.exec_module(run)
+    tracer = run.spans.Tracer(tmp_path / "sweep.spans.json", "sweep")
+    for module_name, attrs in run.spans.WRAPPED.items():
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            # Registered with monkeypatch, so the wrappers come off afterwards.
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer.install()
+    cfg = ks.parse_config((PERFBENCH / "configs" / "tiny.json").read_text())
+    importlib.import_module("kerrswitch.cli").cmd_sweep(cfg, tmp_path / "out")
+
+    cmd = run.spans.named(tracer.spans, "runner.cmd_sweep")[0]
+    direct = {s["name"] for s in run.spans.children(tracer.spans, cmd)}
+    assert {
+        "switch.sweep_surface", "switch.calibrate_pi_energy",
+        "switch.check_convergence", "switch.efficiency_vs_delay",
+    } <= direct
+    layers = run._sweep_layers(tracer.spans)
+    assert type(layers["switch.residual_op"]) is float

@@ -313,19 +313,6 @@ class TestShiftedAccumulate:
         assert np.array_equal(acc, expected)
 
 
-@pytest.mark.parametrize("m", [64, 1024, 4096, 16384])
-def test_norm2_row_equals_the_row_alone(m):
-    """A row's sum of squares must not depend on the rows stacked with it,
-    also past the length where a stacked einsum chunks its rows."""
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-    got = ks.propagation._norm2(x)
-    assert got.shape == (5,)
-    for r in range(5):
-        assert got[r] == ks.propagation._norm2(x[r : r + 1])[0]
-    assert np.abs(got - (np.abs(x) ** 2).sum(axis=1)).max() <= 1e-12 * got.max()
-
-
 def reference_xpm_kernel(pump, f, steps, signal_wavelength):
     """Plain symmetric SSFM: two half-dispersion FFT pairs per slice and an
     np.interp walk-off resample, as compute_xpm_kernel was first written."""

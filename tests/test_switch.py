@@ -83,6 +83,21 @@ def test_flat_phase_reduces_to_closed_form(default_cfg):
         assert got == pytest.approx(ks.analytic_efficiency(math.pi / 4, phi), abs=1e-15)
 
 
+@pytest.mark.parametrize("size", [100, 8193, 11171, 65536])
+def test_stacked_profiles_equal_one_profile_calls(size):
+    """Each row of a stack of phase profiles gets the same bits as that
+    profile alone, also past the 8192 values where a stacked einsum splits
+    its rows; one profile gives a float."""
+    rng = np.random.default_rng(size)
+    weights = rng.uniform(0.0, 1.0, size)
+    phases = rng.uniform(0.0, 2.0 * math.pi, (5, size))
+    stacked = ks.efficiency_from_phase(weights, phases, 0.3)
+    single = [ks.efficiency_from_phase(weights, phase, 0.3) for phase in phases]
+    assert stacked.shape == (5,)
+    assert all(type(eta) is float for eta in single)
+    assert stacked.tolist() == single
+
+
 def test_flat_pump_equivalence_with_analytic_formula():
     """Long super-Gaussian pump, no walk-off: simulation equals the formula."""
     g = ks.TimeGrid(n_samples=16384, window=40e-12)
@@ -130,7 +145,20 @@ class TestCalibration:
             ks.calibrate_pi_energy(cfg)
 
     def test_default_energy_is_pinned(self, calibrated_energy):
-        assert calibrated_energy / NJ == 7.81004050850529
+        assert calibrated_energy / NJ == 7.810040508505286
+
+    def test_repeated_energy_does_not_confine_the_refinement(self):
+        """A sweep energy listed twice next to the best scanned one must not
+        collapse the refinement's bracket onto one side of the optimum."""
+        energies = [0.5 * i for i in range(29) if 0.5 * i not in (7.5, 8.0)]
+
+        def calibrate(es):
+            doc = {"solver": {"steps": 64}, "sweep": {"energies_nj": es}}
+            return ks.calibrate_pi_energy(ks.parse_config(json.dumps(doc)))
+
+        once = calibrate(energies + [7.6])
+        assert abs(once / NJ - 7.6) > 0.1
+        assert calibrate(energies + [7.6, 7.6]) == once
 
     def test_cold_default_refinement_is_one_batch_of_three(self, default_cfg, monkeypatch):
         """The coarse scan's 28 kernels come as one batch, and the refinement
@@ -152,7 +180,7 @@ class TestCalibration:
             ks.switch._kernel_cache.clear()
             ks.switch._kernel_cache.update(cached)
         assert batches == [28, 3]
-        assert energy / NJ == 7.81004050850529
+        assert energy / NJ == 7.810040508505286
 
     @pytest.mark.parametrize("doc", [
         {},
@@ -354,14 +382,36 @@ class TestDelayProfile:
 
 
 def test_row_equals_direct_calls_on_a_wide_signal_support():
-    """A 4000 fs signal has a support longer than ``propagation._EINSUM_ROW``,
-    where a stacked multi-delay einsum would round differently; each entry
-    of the row still equals the one-delay call bit for bit."""
+    """A 4000 fs signal has a support longer than 8192 values, where a
+    stacked multi-delay einsum would round differently; each entry of the
+    row still equals the one-delay call bit for bit."""
     cfg = ks.parse_config(json.dumps({"signal": {"fwhm_fs": 4000.0}, "solver": {"steps": 16}}))
-    assert ks.switch._signal_support(cfg)[0].size > ks.propagation._EINSUM_ROW
+    assert ks.switch._signal_support(cfg)[0].size > 8192
     delays = np.asarray(cfg.sweep.delays)
     assert delays.size == 121
     row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
+    direct = [ks.numeric_efficiency(cfg, 8e-9, float(tau)).eta for tau in delays]
+    assert row.max() > 0.1
+    assert row.tolist() == direct
+
+
+def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
+    """With blocks of 50 delays, the 121 delays take three blocks, the last
+    one partial; each entry still equals the one-delay call bit for bit."""
+    cfg = ks.parse_config(json.dumps({"solver": {"steps": 16}}))
+    support = ks.switch._signal_support(cfg)[0].size
+    monkeypatch.setattr(ks.switch, "_ETA_BLOCK", 50 * support)
+    blocks = []
+    evaluate = ks.switch.efficiency_from_phase
+
+    def recording(weights, phase, theta):
+        blocks.append(phase.shape)
+        return evaluate(weights, phase, theta)
+
+    monkeypatch.setattr(ks.switch, "efficiency_from_phase", recording)
+    delays = np.asarray(cfg.sweep.delays)
+    row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
+    assert blocks == [(50, support), (50, support), (21, support)]
     direct = [ks.numeric_efficiency(cfg, 8e-9, float(tau)).eta for tau in delays]
     assert row.max() > 0.1
     assert row.tolist() == direct
