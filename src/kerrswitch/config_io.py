@@ -71,7 +71,6 @@ _FIELDS = tuple(
         ("detectors", "system_transmittance", "system_transmittance", 0, 0.32),
         ("detectors", "noise_per_pulse_switched", "noise_per_pulse_switched", 0, 1e-5),
         ("detectors", "noise_per_pulse_unswitched", "noise_per_pulse_unswitched", 0, 1e-5),
-        ("detectors", "coincidence_window_ps", "coincidence_window", _PS, 60.0),
         ("detectors", "noise_window_multiplier", "noise_window_multiplier", 0, 1.0),
         ("tof", "dispersion_ps_nm", "dispersion", _PS_PER_NM, 1033.0),
         ("tof", "reference_wavelength_nm", "reference_wavelength", _NM, 1550.0),

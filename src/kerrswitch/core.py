@@ -233,7 +233,6 @@ class DetectorConfig:
     system_transmittance: float
     noise_per_pulse_switched: float
     noise_per_pulse_unswitched: float
-    coincidence_window: float
     noise_window_multiplier: float = 1.0
 
     def __post_init__(self):
@@ -244,8 +243,6 @@ class DetectorConfig:
         for name in ("noise_per_pulse_switched", "noise_per_pulse_unswitched"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"detectors.{name} must be non-negative")
-        if not (self.coincidence_window > 0.0):
-            raise ValidationError("detectors.coincidence_window must be positive")
         if self.noise_window_multiplier < 0.0:
             raise ValidationError("detectors.noise_window_multiplier must be non-negative")
 

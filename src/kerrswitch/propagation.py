@@ -27,7 +27,8 @@ from .errors import GridMismatch, ValidationError, ZeroEnergy
 XPM_DIFFERENTIAL_FACTOR = 4.0 / 3.0
 
 # Largest fraction of the pump energy a propagation sub-window may leave
-# outside itself at launch, or hold in its outer 1/16 at launch and at the end.
+# outside itself at launch, or hold in its outer 1/16 at launch and at the end;
+# past it at the end the window doubles in place, as at a slice midpoint.
 WINDOW_MASS_BOUND = 1e-15
 # Largest fraction of the pump energy a sub-window smaller than the grid may
 # hold in its outer 1/16 at a slice midpoint; past it the window doubles in
@@ -55,8 +56,8 @@ class XpmKernel:
     ``offsets`` is the grid's time axis, one read-only array shared by every
     kernel on that grid. ``window_samples`` is the size of the centred
     sub-window the pump ended on (``n_samples`` when it took the whole
-    grid); the window may have grown mid-fiber from a smaller one, and
-    ``pump_final`` is zero outside it.
+    grid); the window may have grown from a smaller one mid-fiber or after
+    the last slice, and ``pump_final`` is zero outside it.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -142,12 +143,12 @@ def _edge_mass(intensity: np.ndarray) -> np.ndarray:
     return intensity[..., :edge].sum(axis=-1) + intensity[..., -edge:].sum(axis=-1)
 
 
-def _launch_window(launch: np.ndarray, m: int, bound: float) -> int:
-    """Smallest centred power-of-two window of at least `m` samples that
-    passes the launch guards for a pump of intensity `launch`: at most `bound`
-    of its energy outside, and at most `bound` in the window's outer 1/16.
-    The whole grid, unguarded, when no smaller window passes."""
-    n = launch.size
+def _launch_window(launch: np.ndarray, bound: float) -> int:
+    """Smallest centred power-of-two window that passes the launch guards
+    for a pump of intensity `launch`: at most `bound` of its energy outside,
+    and at most `bound` in the window's outer 1/16. The whole grid,
+    unguarded, when no smaller window passes."""
+    n, m = launch.size, _MIN_WINDOW
     while m < n:
         lo = (n - m) // 2
         inside = launch[lo : lo + m]
@@ -182,8 +183,7 @@ class _Window:
         self.rotation = np.empty(a.shape, dtype=np.complex128)
 
     def join(self, rows: np.ndarray, a: np.ndarray, gamma_dz: np.ndarray) -> None:
-        """Add rows whose fields `a` are in the same domain as this window's
-        own."""
+        """Add rows with their time-domain fields `a`."""
         self._set(np.concatenate([self.rows, rows]), np.concatenate([self.a, a]),
                   np.concatenate([self.gamma_dz, gamma_dz]))
 
@@ -212,15 +212,19 @@ def _split_step(
     window of ``windows[r]`` samples and has Kerr coefficient
     ``gamma_pump[r, 0]``.
 
-    The rows that share a window size run through each slice together,
-    smallest size first. At each slice midpoint, a row on a window smaller
-    than the grid whose outer 1/16 holds more than ``GROWTH_MASS_BOUND`` of
-    its energy grows in place. The linear step that led to this midpoint is
-    undone on the old window, which gives back the field after the previous
-    slice's nonlinear step (the launch field at the first slice), where the
-    window still passed. That field is zero-padded, centred, to twice the
-    window (or to the whole grid, which is not guarded), and the linear step
-    is redone there. The row then goes on in the larger window's group, and
+    One loop makes passes k = 0..steps. Pass k makes the linear step where
+    slices k - 1 and k meet: a half step at either end of the fiber, the two
+    halves joined as one full step in between. It then guards the window
+    and, except after the last slice, makes slice k's nonlinear step. The
+    rows that share a window size run through each pass together, smallest
+    size first. A row on a window smaller than the grid whose outer 1/16
+    holds more than ``GROWTH_MASS_BOUND`` of its energy at a slice midpoint,
+    or more than ``WINDOW_MASS_BOUND`` at the output, grows in place. The
+    pass's linear step is undone on the old window, which gives back the
+    field before it (the launch field at the first pass), where the window
+    still passed. That field is zero-padded, centred, to twice the window
+    (or to the whole grid, which is not guarded), and the linear step is
+    redone there. The row then goes on in the larger window's group, and
     may grow again. Rows never mix: each comes out bit for bit as it would
     in a batch of one.
 
@@ -234,9 +238,9 @@ def _split_step(
     each slice. The energies are sums of the time-domain |a|^2 the loop
     already has: the launch field, each slice midpoint's intensity (the
     nonlinear step keeps the energy, so a midpoint holds the energy after
-    the slice before it times one half step's loss) and the output field.
-    Each is summed along the last axis, which sums a row the same whatever
-    rows are stacked with it.
+    the slice before it times one half step's loss) and the output's. Each
+    is summed along the last axis, which sums a row the same whatever rows
+    are stacked with it.
     """
     n = grid.n_samples
     dz = fiber.length / steps
@@ -258,16 +262,19 @@ def _split_step(
             groups[m] = _Window(grid, m, fiber, dz)
         return groups[m]
 
+    def linear(g: _Window, k: int) -> np.ndarray:
+        return g.half if k in (0, steps) else g.full
+
     def grow(g: _Window, leave: np.ndarray, k: int) -> None:
         into = group(min(2 * g.m, n))
         rows, a, gamma_dz = g.take(leave)
         np.fft.fft(a, out=a)
-        a /= g.full if k else g.half
+        a /= linear(g, k)
         padded = np.zeros((rows.size, into.m), dtype=np.complex128)
         start = g.lo - into.lo
         padded[:, start : start + g.m] = np.fft.ifft(a, out=a)
         a = np.fft.fft(padded, out=padded)
-        a *= into.full if k else into.half
+        a *= linear(into, k)
         into.join(rows, np.fft.ifft(a, out=a), gamma_dz)
 
     for m in sorted(set(windows.tolist())):
@@ -275,16 +282,17 @@ def _split_step(
         g = group(m)
         a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
         sums[rows, 0] = (np.abs(a) ** 2).sum(axis=-1)
-        np.fft.fft(a, out=a)
-        a *= g.half
         g.join(rows, a, gamma_pump[rows] * dz)
 
-    for k in range(steps):
-        # Pump offset at the slice midpoint, in the signal frame, for delay 0.
-        shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length) / grid.dt
+    for k in range(steps + 1):
         for g in groups.values():
             if g.rows.size:
+                np.fft.fft(g.a, out=g.a)
+                g.a *= linear(g, k)
                 np.fft.ifft(g.a, out=g.a)
+        bound = GROWTH_MASS_BOUND if k < steps else WINDOW_MASS_BOUND
+        # Pump offset at the slice midpoint, in the signal frame, for delay 0.
+        shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length) / grid.dt
         for m in sizes:
             g = groups.get(m)
             if g is None or not g.rows.size:
@@ -293,7 +301,7 @@ def _split_step(
             g.intensity *= g.intensity
             total = g.intensity.sum(axis=-1)
             if m < n:
-                leave = ~(_edge_mass(g.intensity) <= GROWTH_MASS_BOUND * total)
+                leave = ~(_edge_mass(g.intensity) <= bound * total)
                 if leave.any():
                     # The rows that grow are summed again on their new window.
                     grow(g, leave, k)
@@ -302,21 +310,19 @@ def _split_step(
                     total = total[~leave]
             if k:
                 sums[g.rows, k] = total
+            if k == steps:
+                continue
             np.multiply(g.intensity, g.gamma_dz, out=g.work)
             np.cos(g.work, out=g.rotation.real)
             np.sin(g.work, out=g.rotation.imag)
             g.a *= g.rotation
             _add_shifted(phase, g.intensity, shift, g.work, g.lo, g.rows)
-            np.fft.fft(g.a, out=g.a)
-            g.a *= g.full if k + 1 < steps else g.half
 
     out_windows = [0] * windows.size
     fields = [None] * windows.size
     for g in groups.values():
-        a = np.fft.ifft(g.a, out=g.a) if g.rows.size else g.a
-        sums[g.rows, steps] = (np.abs(a) ** 2).sum(axis=-1)
         for j, r in enumerate(g.rows):
-            out_windows[r], fields[r] = g.m, a[j]
+            out_windows[r], fields[r] = g.m, g.a[j]
     sums[:, 1:steps] /= half_loss
     return out_windows, fields, phase, sums * grid.dt
 
@@ -347,16 +353,14 @@ def compute_xpm_kernels(
     samples and doubles; once it reaches the full grid it propagates that,
     unguarded, exactly as a kernel without the search would. At every slice
     midpoint the outer 1/16 may hold at most ``GROWTH_MASS_BOUND`` of the
-    energy; a pump with more grows in place to twice its window and goes on
-    from that slice (see `_split_step`), so ``window_samples`` is the window
-    it ends on. A pump whose output still holds more than
-    ``WINDOW_MASS_BOUND`` in its outer 1/16 after the last slice runs again
-    from launch, on the next larger window that passes the launch guards.
+    energy, and after the last slice at most ``WINDOW_MASS_BOUND``; a pump
+    with more grows in place to twice its window and goes on from there
+    (see `_split_step`), so ``window_samples`` is the window it ends on.
     The walked-off phase is accumulated straight into the full-grid
     ``phase_vs_offset``, so walk-off past the sub-window is kept, and
     ``pump_final`` is zero-padded back to the grid.
 
-    All pumps run through one split-step loop, grouped by their current
+    All pumps run through one split-step call, grouped by their current
     window size; a pump's kernel is bit for bit the same whatever else is in
     the batch.
 
@@ -378,37 +382,28 @@ def compute_xpm_kernels(
     gamma = np.array(
         [[nonlinear_coefficient(fiber.n2, p.center_wavelength, fiber.a_eff)] for p in pumps]
     )
-    launch = [np.abs(p.samples) ** 2 for p in pumps]
-    bound = [WINDOW_MASS_BOUND * x.sum() for x in launch]
-    # Pump index -> the launch window of its next run from launch.
-    tries = {i: _launch_window(launch[i], _MIN_WINDOW, bound[i]) for i in range(len(pumps))}
-    kernels: list[XpmKernel | None] = [None] * len(pumps)
-    while tries:
-        rows = list(tries)
-        windows, fields, phase, step_energy = _split_step(
-            [pumps[i].samples for i in rows], list(tries.values()),
-            grid, fiber, steps, gamma[rows],
-        )
-        tries.clear()
-        for r, i in enumerate(rows):
-            m, a = windows[r], fields[r]
-            out = np.abs(a) ** 2
-            if m < n and not _edge_mass(out) <= WINDOW_MASS_BOUND * out.sum():
-                tries[i] = _launch_window(launch[i], 2 * m, bound[i])
-                continue
-            lo = (n - m) // 2
-            samples = np.zeros(n, dtype=np.complex128)
-            samples[lo : lo + m] = a
-            kernels[i] = XpmKernel(
-                offsets=_grid_axis(grid),
-                phase_vs_offset=phase[r] * (xpm_coef * dz),
-                pump_final=PulseEnvelope(
-                    grid=grid, center_wavelength=pumps[i].center_wavelength, samples=samples
-                ),
-                per_step_energy=step_energy[r],
-                steps=steps,
-                window_samples=m,
-            )
+    windows = []
+    for p in pumps:
+        launch = np.abs(p.samples) ** 2
+        windows.append(_launch_window(launch, WINDOW_MASS_BOUND * launch.sum()))
+    windows, fields, phase, step_energy = _split_step(
+        [p.samples for p in pumps], windows, grid, fiber, steps, gamma
+    )
+    kernels = []
+    for r, (pump, m, a) in enumerate(zip(pumps, windows, fields)):
+        lo = (n - m) // 2
+        samples = np.zeros(n, dtype=np.complex128)
+        samples[lo : lo + m] = a
+        kernels.append(XpmKernel(
+            offsets=_grid_axis(grid),
+            phase_vs_offset=phase[r] * (xpm_coef * dz),
+            pump_final=PulseEnvelope(
+                grid=grid, center_wavelength=pump.center_wavelength, samples=samples
+            ),
+            per_step_energy=step_energy[r],
+            steps=steps,
+            window_samples=m,
+        ))
     return kernels
 
 

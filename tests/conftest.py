@@ -4,6 +4,8 @@ Session-scoped because calibration runs the propagator a few dozen times; the
 kernel cache makes every later lookup at the same energies free.
 """
 
+from collections import OrderedDict
+
 import pytest
 
 import kerrswitch as ks
@@ -17,3 +19,9 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def calibrated_energy(default_cfg):
     return ks.calibrate_pi_energy(default_cfg)
+
+
+@pytest.fixture
+def cold_kernel_cache(monkeypatch):
+    """An empty kernel cache for one test; the session's cache is back after it."""
+    monkeypatch.setattr(ks.switch, "_kernel_cache", OrderedDict())

@@ -88,7 +88,7 @@ class TestCmdSweep:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
+def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path, cold_kernel_cache):
     """Sweep rows, calibration, slices and the convergence check share one
     kernel cache: no (energy, steps) pump kernel is computed twice, in the
     same batch or in two, and the surface's kernels come as one batch."""
@@ -105,17 +105,15 @@ def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path):
         return compute(pumps, fiber, steps, signal_wavelength)
 
     monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
-    ks.switch._kernel_cache.clear()
-    try:
-        ks.cmd_sweep(cfg, tmp_path)
-    finally:
-        ks.switch._kernel_cache.clear()
+    ks.cmd_sweep(cfg, tmp_path)
     keys = [key for batch in batches for key in batch]
     assert len(batches[0]) == 16
     assert len(keys) == len(set(keys))
 
 
-def test_cold_default_cmd_sweep_starts_each_kernel_once(default_cfg, monkeypatch, tmp_path):
+def test_cold_default_cmd_sweep_starts_each_kernel_once(
+    default_cfg, monkeypatch, tmp_path, cold_kernel_cache
+):
     """Every pump kernel of a cold default sweep runs from launch once: one
     split-step call per batch of kernels, one row per kernel. The batches
     are the 28-pump ladder, the convergence check's 512-step kernel and the
@@ -134,13 +132,7 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(default_cfg, monkeypatch
 
     monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting_kernels)
     monkeypatch.setattr(ks.propagation, "_split_step", counting_split_step)
-    cached = dict(ks.switch._kernel_cache)
-    ks.switch._kernel_cache.clear()
-    try:
-        ks.cmd_sweep(default_cfg, tmp_path)
-    finally:
-        ks.switch._kernel_cache.clear()
-        ks.switch._kernel_cache.update(cached)
+    ks.cmd_sweep(default_cfg, tmp_path)
     assert rows == kernels
     assert kernels == [28, 1, 3]
 

@@ -25,7 +25,6 @@ BENCH_FIELDS = [
     ("fiber", "walkoff_ps_m", -12, lambda c: c.fiber.walkoff),
     ("fiber", "a_eff_um2", -12, lambda c: c.fiber.a_eff),
     ("grid", "window_ps", -12, lambda c: c.grid.window),
-    ("detectors", "coincidence_window_ps", -12, lambda c: c.detectors.coincidence_window),
     ("tof", "dispersion_ps_nm", -3, lambda c: c.tof.dispersion),
     ("tof", "reference_wavelength_nm", -9, lambda c: c.tof.reference_wavelength),
     ("tof", "jitter_fwhm_ps", -12, lambda c: c.tof.jitter_fwhm),
@@ -372,7 +371,7 @@ class TestFieldTable:
         assert set(rows) == expected
 
     def test_default_hash_is_pinned(self):
-        assert ks.config_hash(ks.default_config()) == "7b39f8d901e19783"
+        assert ks.config_hash(ks.default_config()) == "e7b051d4f46d5793"
 
 
 class TestConfigHash:

@@ -478,23 +478,36 @@ def _default_kernel(energy):
     return pump, kernel
 
 
-def test_end_guard_reruns_from_launch(runs, monkeypatch):
-    """A pump that passes the outer-1/16 guard at every slice midpoint but
-    fails it after the last slice runs again from launch on the next window.
-
-    No default pump gets there, because growth starts at a mass far below
-    the end guard's. With growth held off until the end guard's own bound,
-    a 5.3 nJ pump stays under it at every midpoint on 1024 samples and ends
-    over it."""
+@pytest.fixture
+def late_growth(monkeypatch):
+    """Hold growth off until the end guard's own bound. No default pump
+    grows after the last slice, because growth starts at a mass far below
+    the end guard's; with this bound a 5.3 nJ pump stays under it at every
+    slice midpoint on 1024 samples and ends over it."""
     monkeypatch.setattr(ks.propagation, "GROWTH_MASS_BOUND", ks.propagation.WINDOW_MASS_BOUND)
-    pump, kernel = _default_kernel(5.3e-9)
-    assert runs == [[1024], [2048]]
-    assert kernel.window_samples == 2048
+    return _batch_pumps([5.3e-9])[0]
+
+
+def test_end_guard_grows_in_place(runs, late_growth):
+    """A pump that passes the outer-1/16 guard at every slice midpoint but
+    fails it after the last slice grows in place, in the same call."""
+    pump = late_growth
     cfg = ks.default_config()
+    kernel = ks.compute_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
+                                   cfg.signal.center_wavelength)
+    assert runs == [[1024]]
+    m = kernel.window_samples
+    assert m == 2048
     got = ks.switch._etas(cfg, [kernel], cfg.sweep.delays)[0]
     reference = _reference_row(cfg, pump)
     assert reference.max() > 0.1
     assert np.abs(got - reference).max() <= 1e-12
+    assert cfg.fiber.alpha == 0.0
+    energy = kernel.per_step_energy
+    assert np.abs(energy / energy[0] - 1.0).max() <= 1e-13
+    lo = (cfg.grid.n_samples - m) // 2
+    out = np.abs(kernel.pump_final.samples[lo : lo + m]) ** 2
+    assert ks.propagation._edge_mass(out) <= ks.propagation.WINDOW_MASS_BOUND * out.sum()
 
 
 def test_energy_conserved_across_growth(runs):
@@ -559,7 +572,7 @@ class TestKernelBatch:
         # 4096-sample kernel comes from growing in place.
         launch = np.abs(pumps[1].samples) ** 2
         first = ks.propagation._launch_window(
-            launch, ks.propagation._MIN_WINDOW, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
+            launch, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
         )
         assert first == 1024
 
@@ -584,6 +597,18 @@ class TestKernelBatch:
         mixed = _batch_pumps([12e-9]) + pumps[:2]
         batch = self._kernels(mixed)
         assert [k.window_samples for k in batch] == [4096, 1024, 4096]
+        for got, pump in zip(batch, mixed):
+            self.assert_same(got, self._kernel(pump))
+
+    def test_row_that_grows_after_the_last_slice(self, pumps, runs, late_growth):
+        """The pump that grows only at the end guard goes on in the same
+        split-step call as rows that do not grow, and each row still comes
+        out as it would alone."""
+        mixed = [pumps[0], late_growth, pumps[3]]
+        batch = self._kernels(mixed)
+        n = ks.default_config().grid.n_samples
+        assert runs == [[1024, 1024, n]]
+        assert [k.window_samples for k in batch] == [1024, 2048, n]
         for got, pump in zip(batch, mixed):
             self.assert_same(got, self._kernel(pump))
 

@@ -160,7 +160,9 @@ class TestCalibration:
         assert abs(once / NJ - 7.6) > 0.1
         assert calibrate(energies + [7.6, 7.6]) == once
 
-    def test_cold_default_refinement_is_one_batch_of_three(self, default_cfg, monkeypatch):
+    def test_cold_default_refinement_is_one_batch_of_three(
+        self, default_cfg, monkeypatch, cold_kernel_cache
+    ):
         """The coarse scan's 28 kernels come as one batch, and the refinement
         stops after one round: the parabola's vertex and the points xatol on
         either side of it, as one more batch."""
@@ -172,13 +174,7 @@ class TestCalibration:
             return compute(pumps, *args)
 
         monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
-        cached = dict(ks.switch._kernel_cache)
-        ks.switch._kernel_cache.clear()
-        try:
-            energy = ks.calibrate_pi_energy(default_cfg)
-        finally:
-            ks.switch._kernel_cache.clear()
-            ks.switch._kernel_cache.update(cached)
+        energy = ks.calibrate_pi_energy(default_cfg)
         assert batches == [28, 3]
         assert energy / NJ == 7.810040508505286
 
@@ -454,7 +450,9 @@ class TestSweepSurface:
         surface = ks.sweep_surface(cfg)
         assert np.all(surface.eta_grid >= 0.0) and np.all(surface.eta_grid <= 1.0)
 
-    def test_cold_default_sweep_runs_one_split_step(self, default_cfg, monkeypatch):
+    def test_cold_default_sweep_runs_one_split_step(
+        self, default_cfg, monkeypatch, cold_kernel_cache
+    ):
         """The default ladder's 28 kernels run as one split-step loop: the
         pumps whose window grows go on mid-fiber instead of starting again."""
         rows = []
@@ -465,13 +463,7 @@ class TestSweepSurface:
             return split_step(launch, *args)
 
         monkeypatch.setattr(ks.propagation, "_split_step", counting)
-        cached = dict(ks.switch._kernel_cache)
-        ks.switch._kernel_cache.clear()
-        try:
-            ks.sweep_surface(default_cfg)
-        finally:
-            ks.switch._kernel_cache.clear()
-            ks.switch._kernel_cache.update(cached)
+        ks.sweep_surface(default_cfg)
         assert rows == [28]
 
     def test_rows_equal_one_kernel_at_a_time(self):
