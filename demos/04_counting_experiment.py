@@ -38,11 +38,11 @@ doc_hi = {
 cfg_hi = ks.parse_config(json.dumps(doc_hi))
 mc_hi = ks.monte_carlo_experiment(cfg_hi, lambda tau: 0.9, pulses=500_000, seed=7, n_max=3)
 print("\nN=3 heralds at eta = 0.9: empirical vs exact")
-p_hat, err, total = mc_hi.empirical_split(3, 0)
+p_hat, err, totals = mc_hi.empirical_split(3)  # one row per delay; here one delay
 exact = ks.binomial_split(3, 0.9).probs
 for k in range(4):
-    print(f"  P(n_S={k}) = {p_hat[k]:.4f} +- {err[k]:.4f}   exact {exact[k]:.4f}")
-print(f"  ({total} postselected heralds)")
+    print(f"  P(n_S={k}) = {p_hat[0, k]:.4f} +- {err[0, k]:.4f}   exact {exact[k]:.4f}")
+print(f"  ({totals[0]} postselected heralds)")
 
 # --- Noise bookkeeping --------------------------------------------------------
 print(f"\nheralded detection 32% over 1e-5 noise counts per pulse: "

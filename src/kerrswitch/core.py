@@ -168,6 +168,12 @@ class FiberSpec:
             raise ValidationError("fiber.n2 must be non-negative")
         if self.alpha < 0.0:
             raise ValidationError("fiber.alpha must be non-negative")
+        # A real fiber loses a few nepers at most over a switch's length, and
+        # past ~730 nepers the attenuated signal underflows to zero on the
+        # default grid, which leaves no signal to switch. 100 nepers (434 dB)
+        # sits far from both.
+        if not (self.alpha * self.length <= 100.0):
+            raise ValidationError("fiber.alpha * fiber.length must be at most 100 nepers (434 dB)")
 
     def effective_length(self) -> float:
         """Loss-weighted interaction length (1 - exp(-alpha*L)) / alpha."""

@@ -219,23 +219,29 @@ class MonteCarloResult:
 
     split_events[N] is an integer matrix [n_delays, N+1]; entry [d, k] counts
     pulses at delay d heralded by N idler photons in which exactly k of N
-    detected signal photons exited the switched port.
+    detected signal photons exited the switched port. `empirical_split(N)`
+    normalizes its rows into a table laid out as `binomial_splits` lays out
+    the exact one.
     """
 
     delays: np.ndarray = field(repr=False)
     records: tuple[CountRecord, ...]
     split_events: dict[int, np.ndarray] = field(repr=False)
 
-    def empirical_split(self, n_photons: int, delay_index: int):
-        """(probabilities, standard errors, total events) for one (N, delay)."""
-        events = self.split_events[n_photons][delay_index]
-        total = int(events.sum())
-        if total == 0:
-            size = n_photons + 1
-            return np.zeros(size), np.zeros(size), 0
-        p = events / total
-        stderr = np.sqrt(p * (1.0 - p) / total)
-        return p, stderr, total
+    def empirical_split(self, n_photons: int):
+        """(probabilities, standard errors, totals) of the N-herald split at
+        every delay.
+
+        probabilities[d, k] = events[d, k] / totals[d], with the binomial
+        standard error sqrt(p * (1 - p) / totals[d]); both are (delays, N + 1)
+        and totals is (delays,). A delay with no N-herald pulses has total 0
+        and zero probabilities and errors.
+        """
+        events = self.split_events[n_photons]
+        totals = events.sum(axis=1)
+        p = np.divide(events, totals[:, None], out=np.zeros(events.shape), where=totals[:, None] > 0)
+        stderr = np.sqrt(p * (1.0 - p) / np.maximum(totals, 1)[:, None])
+        return p, stderr, totals
 
 
 def _poisson_pmf(mean: float, counts: np.ndarray) -> np.ndarray:

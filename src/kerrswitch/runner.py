@@ -220,8 +220,12 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
 def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     """Exact and Monte Carlo port-split curves for heralded N-photon states.
 
-    Writes fock_probs.csv (exact rows carry stderr 0; Monte Carlo rows carry
-    binomial standard errors), fock_probs.json, and manifest.json.
+    Each N gives two (delays, N + 1) probability tables, the exact binomial
+    split at each delay's η and the Monte Carlo empirical split, each with
+    its standard errors (0 for the exact curve, binomial for the Monte
+    Carlo one). One list of these curves is written as fock_probs.csv (one
+    row per delay and outcome) and fock_probs.json (one record per outcome),
+    with manifest.json.
     """
     if not (1 <= n_max <= 10):
         raise ValidationError("n_max must lie in 1..10")
@@ -239,41 +243,28 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
         n_max=n_max,
     )
 
-    records = []
+    curves = []
     for n in range(1, n_max + 1):
         exact = binomial_splits(n, etas)
-        for k in range(n + 1):
-            records.append(
-                {
-                    "kind": "exact",
-                    "N": n,
-                    "n_S": k,
-                    "n_U": n - k,
-                    "probability": exact[:, k].tolist(),
-                    "stderr": [0.0] * delays.size,
-                }
-            )
-        mc_probs = []
-        mc_err = []
-        for j in range(delays.size):
-            p, err, _total = mc.empirical_split(n, j)
-            mc_probs.append(p)
-            mc_err.append(err)
-        for k in range(n + 1):
-            records.append(
-                {
-                    "kind": "monte_carlo",
-                    "N": n,
-                    "n_S": k,
-                    "n_U": n - k,
-                    "probability": [float(mc_probs[j][k]) for j in range(delays.size)],
-                    "stderr": [float(mc_err[j][k]) for j in range(delays.size)],
-                }
-            )
+        probs, stderr, _totals = mc.empirical_split(n)
+        curves += [("exact", n, exact, np.zeros_like(exact)), ("monte_carlo", n, probs, stderr)]
+    records = [
+        {
+            "kind": kind,
+            "N": n,
+            "n_S": k,
+            "n_U": n - k,
+            "probability": p[:, k].tolist(),
+            "stderr": err[:, k].tolist(),
+        }
+        for kind, n, p, err in curves
+        for k in range(n + 1)
+    ]
     rows = (
-        [delays[j] / _PS, r["N"], r["n_S"], r["n_U"], r["probability"][j], r["stderr"][j], r["kind"]]
-        for r in records
-        for j in range(delays.size)
+        [tau, n, k, n - k, pk, ek, kind]
+        for kind, n, p, err in curves
+        for k in range(n + 1)
+        for tau, pk, ek in zip(delays / _PS, p[:, k], err[:, k])
     )
 
     run.write_csv(

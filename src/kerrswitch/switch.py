@@ -13,9 +13,9 @@ import numpy as np
 
 from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
-# `compute_xpm_kernel` is not called here (kernels come from
-# `compute_xpm_kernels`); perfbench's tracer wraps it under this module's
-# name, so the binding stays.
+# `compute_xpm_kernel` and `sample_xpm_phase` are not called here (kernels
+# come from `compute_xpm_kernels`, efficiencies from `_etas`); perfbench's
+# tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
@@ -39,12 +39,11 @@ def nonlinear_phase(n2: float, l_eff: float, intensity: float, lambda_signal: fl
 
 @dataclass(frozen=True)
 class SwitchResult:
-    """Efficiency and diagnostics for one (pump energy, delay) point."""
+    """Efficiency at one (pump energy, delay) point."""
 
     eta: float
     delay: float
     pump_energy: float
-    xpm_phase: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -203,15 +202,11 @@ def numeric_efficiency(
     The efficiency comes from `_etas`, the evaluator every efficiency goes
     through, as a block of one delay; it is summed over the signal's support
     only (the weight left out is at most ``WINDOW_MASS_BOUND`` of the
-    total). ``xpm_phase`` is the full-grid phase profile.
+    total).
     """
     (kernel,) = _kernels(config, [pump_energy], steps)
     eta = float(_etas(config, [kernel], [delay])[0, 0])
-    if kernel is None:
-        phase = np.zeros(config.grid.n_samples)
-    else:
-        phase = sample_xpm_phase(kernel, config.grid, delay)
-    return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy, xpm_phase=phase)
+    return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy)
 
 
 def efficiency_vs_delay(

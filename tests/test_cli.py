@@ -296,6 +296,17 @@ class TestCliMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "fock", "spectrum", "calibrate"])
+    @pytest.mark.parametrize("alpha_per_m", [3050.0, 1e4])
+    def test_signal_underflowing_loss_is_a_config_error(self, tmp_path, capsys, command, alpha_per_m):
+        """At 3050 per metre (732 nepers) the default grid's signal support is
+        empty, and each command once died with exit code 1."""
+        cfg_path = self.write_config(tmp_path, {"fiber": {"alpha_per_m": alpha_per_m}})
+        code = main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: fiber.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_needs_strict_flag(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"pump": {"fwmh_fs": 200.0}}))

@@ -130,6 +130,12 @@ class TestFiberSpec:
         assert f.effective_length() == pytest.approx(expected, rel=1e-12)
         assert f.effective_length() < 0.24
 
+    def test_loss_bounded_at_100_nepers(self):
+        assert self.fiber(alpha=400.0).effective_length() > 0.0  # 96 nepers
+        for alpha in (420.0, 3050.0, math.inf, math.nan):  # 100.8 nepers and up
+            with pytest.raises(ValidationError, match="100 nepers"):
+                self.fiber(alpha=alpha)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ks.FiberSpec(length=0.0, beta2_pump=0, beta3_pump=0, beta2_signal=0,

@@ -245,9 +245,35 @@ class TestMonteCarlo:
         for rec in result.records:
             assert rec.n_ui == 0
             assert rec.n_si > 0
-        p, _, total = result.empirical_split(1, 0)
-        assert total > 0
-        assert p[1] == 1.0
+        p, err, totals = result.empirical_split(1)
+        assert p.shape == err.shape == (3, 2) and totals.shape == (3,)
+        assert np.all(totals > 0)
+        assert np.all(p[:, 1] == 1.0) and np.all(p[:, 0] == 0.0)
+        assert np.all(err == 0.0)
+
+    def test_empirical_split_rows_are_each_delays_ratios(self):
+        cfg = _mc_config()
+        eta_curve = lambda tau: 0.3 + 0.4 * tau / 1e-12
+        result = ks.monte_carlo_experiment(cfg, eta_curve, pulses=50_000, seed=11, n_max=3)
+        for n in (1, 2, 3):
+            p, err, totals = result.empirical_split(n)
+            for j, events in enumerate(result.split_events[n]):
+                total = events.sum()
+                assert totals[j] == total > 0
+                row = events / total
+                assert np.array_equal(p[j], row)
+                assert np.array_equal(err[j], np.sqrt(row * (1.0 - row) / total))
+
+    def test_delay_without_heralds_splits_to_zeros(self):
+        """No pairs, so no N-herald pulses at any delay: zero probabilities
+        and errors, and no division warning (tier-1 fails on warnings)."""
+        cfg = _mc_config(source={"mean_photon_number": 0.0})
+        result = ks.monte_carlo_experiment(cfg, lambda tau: 0.5, pulses=1000, seed=3, n_max=2)
+        for n in (1, 2):
+            p, err, totals = result.empirical_split(n)
+            assert p.shape == err.shape == (3, n + 1)
+            assert np.all(totals == 0)
+            assert np.all(p == 0.0) and np.all(err == 0.0)
 
     def test_matches_exact_binomial_within_5_sigma(self):
         cfg = _mc_config()

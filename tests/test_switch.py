@@ -466,7 +466,7 @@ class TestSweepSurface:
         ks.sweep_surface(default_cfg)
         assert rows == [28]
 
-    def test_rows_equal_one_kernel_at_a_time(self):
+    def test_rows_equal_one_kernel_at_a_time(self, cold_kernel_cache):
         doc = {
             "sweep": {"energies_nj": [0.0, 2.0, 6.0, 10.0], "delays_ps": [-1.0, 0.0, 0.5]},
             "solver": {"steps": 32},
@@ -478,7 +478,7 @@ class TestSweepSurface:
             ks.switch._kernel_cache.clear()
             assert np.array_equal(row, ks.efficiency_vs_delay(cfg, energy, surface.delays))
 
-    def test_ladder_longer_than_the_kernel_cache(self):
+    def test_ladder_longer_than_the_kernel_cache(self, cold_kernel_cache):
         doc = {
             "sweep": {"energies_nj": [0.1 * i for i in range(70)], "delays_ps": [0.0]},
             "solver": {"steps": 8},
