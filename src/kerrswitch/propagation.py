@@ -13,7 +13,7 @@ zero delay means the walk-through is centered on the signal.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,20 +52,38 @@ class XpmKernel:
     ``phase_vs_offset[j]`` is the differential phase picked up at signal-frame
     time ``offsets[j] + delay`` for a pump launched with delay ``delay``; the
     profile for any delay is this curve shifted rigidly, because the walk-off
-    advection enters only through the difference of the two time axes.
-    ``offsets`` is the grid's time axis, one read-only array shared by every
-    kernel on that grid. ``window_samples`` is the size of the centred
-    sub-window the pump ended on (``n_samples`` when it took the whole
-    grid); the window may have grown from a smaller one mid-fiber or after
-    the last slice, and ``pump_final`` is zero outside it.
+    advection enters only through the difference of the two time axes. The
+    curve is stored on its span: the grid samples where it is nonzero, plus
+    one zero on each side (none past a grid end). It is zero off the span,
+    so ``np.interp(..., left=0, right=0)`` on it gives the same bits as on
+    the whole grid. ``offsets`` is the span's view of the grid's time axis,
+    one read-only array shared by every kernel on that grid.
+
+    ``window_samples`` is the size of the centred sub-window the pump ended
+    on (``n_samples`` when it took the whole grid); the window may have grown
+    from a smaller one mid-fiber or after the last slice. ``pump_window``
+    holds the output pump on that window, and ``pump_final`` zero-pads it
+    back onto ``grid`` when read.
     """
 
     offsets: np.ndarray = field(repr=False)
     phase_vs_offset: np.ndarray = field(repr=False)
-    pump_final: PulseEnvelope = field(repr=False)
+    pump_window: np.ndarray = field(repr=False)
+    grid: TimeGrid = field(repr=False)
+    pump_wavelength: float
     per_step_energy: np.ndarray = field(repr=False)
     steps: int
     window_samples: int
+
+    @property
+    def pump_final(self) -> PulseEnvelope:
+        """The output pump on the whole grid, zero outside its window."""
+        n, m = self.grid.n_samples, self.window_samples
+        lo = (n - m) // 2
+        samples = np.zeros(n, dtype=np.complex128)
+        samples[lo : lo + m] = self.pump_window
+        return PulseEnvelope(grid=self.grid, center_wavelength=self.pump_wavelength,
+                             samples=samples)
 
 
 @dataclass(frozen=True)
@@ -207,10 +225,10 @@ def _split_step(
     steps: int,
     gamma_pump: np.ndarray,
 ) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
-    """Propagate the time-domain pumps `launch` (each sampled on `grid`)
-    over `steps` slices, all rows in lockstep. Row r starts on the centred
-    window of ``windows[r]`` samples and has Kerr coefficient
-    ``gamma_pump[r, 0]``.
+    """Propagate the time-domain pumps `launch` over `steps` slices, all
+    rows in lockstep. Row r starts on the centred window of ``windows[r]``
+    samples of `grid`, ``launch[r]`` is its launch field on that window, and
+    its Kerr coefficient is ``gamma_pump[r, 0]``.
 
     One loop makes passes k = 0..steps. Pass k makes the linear step where
     slices k - 1 and k meet: a half step at either end of the fiber, the two
@@ -280,7 +298,7 @@ def _split_step(
     for m in sorted(set(windows.tolist())):
         rows = np.flatnonzero(windows == m)
         g = group(m)
-        a = np.stack([launch[r][g.lo : g.lo + g.m] for r in rows])
+        a = np.stack([launch[r] for r in rows])
         sums[rows, 0] = (np.abs(a) ** 2).sum(axis=-1)
         g.join(rows, a, gamma_pump[rows] * dz)
 
@@ -328,7 +346,7 @@ def _split_step(
 
 
 def compute_xpm_kernels(
-    pumps: Sequence[PulseEnvelope],
+    pumps: Iterable[PulseEnvelope],
     fiber: FiberSpec,
     steps: int,
     signal_wavelength: float,
@@ -356,50 +374,60 @@ def compute_xpm_kernels(
     energy, and after the last slice at most ``WINDOW_MASS_BOUND``; a pump
     with more grows in place to twice its window and goes on from there
     (see `_split_step`), so ``window_samples`` is the window it ends on.
-    The walked-off phase is accumulated straight into the full-grid
-    ``phase_vs_offset``, so walk-off past the sub-window is kept, and
-    ``pump_final`` is zero-padded back to the grid.
+    The walked-off phase is accumulated on the whole grid, so walk-off past
+    the sub-window is kept, and each kernel stores it on its span (see
+    `XpmKernel`); the output pump is stored on its final window.
 
-    All pumps run through one split-step call, grouped by their current
-    window size; a pump's kernel is bit for bit the same whatever else is in
-    the batch.
+    `pumps` is read once, one pump at a time: each is kept only as a copy of
+    its launch window and its wavelength, so a batch read from a generator
+    holds no pump past the one it is reading. All pumps then run through
+    one split-step call, grouped by their current window size; a pump's
+    kernel is bit for bit the same whatever else is in the batch.
 
     Raises:
         GridMismatch: if the pumps are sampled on different grids.
     """
     if steps < 8:
         raise ValidationError("steps must be >= 8")
-    if not pumps:
+    grid = None
+    launch, windows, wavelengths = [], [], []
+    for p in pumps:
+        if grid is None:
+            grid = p.grid
+        elif p.grid != grid:
+            raise GridMismatch("pumps must share one time grid")
+        intensity = np.abs(p.samples) ** 2
+        m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
+        lo = (grid.n_samples - m) // 2
+        launch.append(p.samples[lo : lo + m].copy())
+        windows.append(m)
+        wavelengths.append(p.center_wavelength)
+    if grid is None:
         return []
-    grid = pumps[0].grid
-    if any(p.grid != grid for p in pumps):
-        raise GridMismatch("pumps must share one time grid")
     n = grid.n_samples
     dz = fiber.length / steps
     xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
     gamma = np.array(
-        [[nonlinear_coefficient(fiber.n2, p.center_wavelength, fiber.a_eff)] for p in pumps]
+        [[nonlinear_coefficient(fiber.n2, wl, fiber.a_eff)] for wl in wavelengths]
     )
-    windows = []
-    for p in pumps:
-        launch = np.abs(p.samples) ** 2
-        windows.append(_launch_window(launch, WINDOW_MASS_BOUND * launch.sum()))
     windows, fields, phase, step_energy = _split_step(
-        [p.samples for p in pumps], windows, grid, fiber, steps, gamma
+        launch, windows, grid, fiber, steps, gamma
     )
+    axis = _grid_axis(grid)
     kernels = []
-    for r, (pump, m, a) in enumerate(zip(pumps, windows, fields)):
-        lo = (n - m) // 2
-        samples = np.zeros(n, dtype=np.complex128)
-        samples[lo : lo + m] = a
+    for r, (wavelength, m, a) in enumerate(zip(wavelengths, windows, fields)):
+        nonzero = np.flatnonzero(phase[r])
+        if not nonzero.size:  # no pump energy or no Kerr effect
+            nonzero = np.array([n // 2])
+        lo, hi = max(int(nonzero[0]) - 1, 0), min(int(nonzero[-1]) + 2, n)
         kernels.append(XpmKernel(
-            offsets=_grid_axis(grid),
-            phase_vs_offset=phase[r] * (xpm_coef * dz),
-            pump_final=PulseEnvelope(
-                grid=grid, center_wavelength=pump.center_wavelength, samples=samples
-            ),
+            offsets=axis[lo:hi],
+            phase_vs_offset=phase[r, lo:hi] * (xpm_coef * dz),
+            pump_window=a.copy(),
+            grid=grid,
+            pump_wavelength=wavelength,
             per_step_energy=step_energy[r],
             steps=steps,
             window_samples=m,

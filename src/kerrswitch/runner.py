@@ -111,8 +111,10 @@ class _Run:
         return path
 
     def write_json(self, name: str, payload) -> Path:
+        """Write `payload` as compact JSON with sorted keys: one line, which
+        json's C encoder writes (an indent falls back to its Python one)."""
         path = self.out_dir / name
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
         path.write_text(text)
         self._record(name, path, len(text.splitlines()))
         return path

@@ -86,8 +86,9 @@ def _kernels(
 
     The energies are taken in blocks of `_KERNEL_CACHE_SIZE`. The kernels a
     block lacks in the cache are computed as one `compute_xpm_kernels` batch,
-    then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently used
-    kernels, so a ladder of any length holds at most one block of them.
+    whose pumps are made one at a time as it reads them, then cached. The
+    cache keeps the `_KERNEL_CACHE_SIZE` most recently used kernels, so a
+    ladder of any length holds at most one block of them.
     """
     steps = config.solver.steps if steps is None else steps
     energies = [float(e) for e in energies]
@@ -96,7 +97,7 @@ def _kernels(
         keys = [(config, e, steps) for e in block if e != 0.0]
         missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
         if missing:
-            pumps = [_make_pump(config, e) for _, e, _ in missing]
+            pumps = (_make_pump(config, e) for _, e, _ in missing)
             computed = compute_xpm_kernels(
                 pumps, config.fiber, steps, config.signal.center_wavelength
             )

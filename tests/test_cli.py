@@ -101,6 +101,7 @@ def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path, cold_kernel_
     compute = ks.switch.compute_xpm_kernels
 
     def counting(pumps, fiber, steps, signal_wavelength):
+        pumps = list(pumps)
         batches.append([(ks.energy(p), steps) for p in pumps])
         return compute(pumps, fiber, steps, signal_wavelength)
 
@@ -123,6 +124,7 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
     split_step = ks.propagation._split_step
 
     def counting_kernels(pumps, *args):
+        pumps = list(pumps)
         kernels.append(len(pumps))
         return compute(pumps, *args)
 
@@ -371,7 +373,17 @@ class TestCliMain:
         assert "step-doubling residual" in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.xfail(strict=True, reason="only sweep runs the step-doubling check")
+    def test_fock_non_convergence_exit_code(self, tmp_path, capsys):
+        """A 1 km fiber fails sweep's step-doubling check at the operating
+        point (residual 0.083 at 8 nJ, exit 3); fock draws its Monte Carlo
+        from the same unconverged kernel, so it should fail it too."""
+        doc = {"fiber": {"length_m": 1000.0}}
+        out = tmp_path / "nc"
+        code = main(["fock", "--config", self.write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 3
+        assert "step-doubling residual" in capsys.readouterr().err
+
         cfg_path = self.write_config(tmp_path)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

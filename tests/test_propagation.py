@@ -1,8 +1,10 @@
 """Split-step propagator against closed-form oracles: free propagation,
 Gaussian dispersion, pure SPM, walk-off advection, and energy conservation."""
 
+import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -370,17 +372,19 @@ def test_kernels_share_one_read_only_time_axis():
     f = fiber(n2=2.6e-20)
     k1 = ks.compute_xpm_kernel(pump, f, 16, SIG_WL)
     k2 = ks.compute_xpm_kernel(pump, f, 32, SIG_WL)
-    assert k1.offsets is k2.offsets
-    assert not k1.offsets.flags.writeable
+    axis = ks.propagation._grid_axis(pump.grid)
+    assert k1.offsets.base is axis and k2.offsets.base is axis
+    assert not k1.offsets.flags.writeable and not k2.offsets.flags.writeable
 
 
 def _kernel_vs_reference(pump, f, steps):
-    """Relative phase error of compute_xpm_kernel against the full-grid
-    reference loop, and the kernel."""
+    """Relative phase error of compute_xpm_kernel, placed on the grid,
+    against the full-grid reference loop, and the kernel."""
     kernel = ks.compute_xpm_kernel(pump, f, steps, SIG_WL)
     phase, _, _ = reference_xpm_kernel(pump, f, steps, SIG_WL)
     assert phase.max() > 0.1
-    return np.abs(kernel.phase_vs_offset - phase).max() / np.abs(phase).max(), kernel
+    on_grid = ks.propagation.sample_xpm_phase(kernel, pump.grid, 0.0)
+    return np.abs(on_grid - phase).max() / np.abs(phase).max(), kernel
 
 
 @pytest.mark.parametrize("delay", [15e-12, -15e-12])
@@ -405,7 +409,8 @@ def test_walkoff_past_the_sub_window_is_kept(walkoff):
     half_span = 0.5 * kernel.window_samples * grid().dt
     assert 0.5 * abs(walkoff) * f.length > half_span
     outside = np.abs(grid().times) > half_span
-    assert kernel.phase_vs_offset[outside].sum() > 0.1 * kernel.phase_vs_offset.sum()
+    on_grid = ks.propagation.sample_xpm_phase(kernel, grid(), 0.0)
+    assert on_grid[outside].sum() > 0.1 * on_grid.sum()
 
 
 def _reference_row(cfg, pump):
@@ -549,6 +554,7 @@ class TestKernelBatch:
     @staticmethod
     def assert_same(got, want):
         assert got.window_samples == want.window_samples
+        assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.phase_vs_offset, want.phase_vs_offset)
         assert np.array_equal(got.pump_final.samples, want.pump_final.samples)
         assert np.array_equal(got.per_step_energy, want.per_step_energy)
@@ -614,9 +620,109 @@ class TestKernelBatch:
 
     def test_empty_batch(self):
         assert self._kernels([]) == []
+        assert self._kernels(p for p in []) == []
 
     def test_pumps_on_two_grids_rejected(self):
         other = ks.make_gaussian_pulse(ks.TimeGrid(n_samples=1024, window=20e-12),
                                        PUMP_WL, 180e-15, 1e-9)
         with pytest.raises(GridMismatch):
             self._kernels(_batch_pumps([1e-9]) + [other])
+        with pytest.raises(GridMismatch):
+            self._kernels(p for p in _batch_pumps([1e-9]) + [other])
+
+    def test_generator_keeps_no_pump_alive(self, pumps, batch):
+        """A generator's pumps give the list's kernels. The batch holds no
+        pump but the last one it read, and its kernels hold none."""
+        refs = []
+
+        def one_at_a_time():
+            for pump in pumps:
+                assert all(ref() is None for ref in refs[:-1])
+                copy = dataclasses.replace(pump)
+                refs.append(weakref.ref(copy))
+                yield copy
+                del copy
+
+        kernels = self._kernels(one_at_a_time())
+        assert len(refs) == len(pumps)
+        assert all(ref() is None for ref in refs)
+        for got, want in zip(kernels, batch, strict=True):
+            self.assert_same(got, want)
+
+
+@pytest.fixture
+def split_steps(monkeypatch):
+    """What each `_split_step` call returned: the output window sizes and
+    fields, the full-grid phase rows and the step energies."""
+    calls = []
+    split_step = ks.propagation._split_step
+
+    def recording(*args):
+        calls.append(split_step(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(ks.propagation, "_split_step", recording)
+    return calls
+
+
+def _sub_window_case():
+    cfg = ks.default_config()
+    return _batch_pumps([2e-9, 8e-9]), cfg.fiber, 64, False
+
+
+def _walkoff_case():
+    f = fiber(beta2_pump=24e-27, walkoff=30e-12, n2=2.6e-20)
+    return [pulses(pump_energy=4e-9)[0]], f, 32, False
+
+
+def _whole_grid_case():
+    f = fiber(beta2_pump=24e-27, walkoff=8.333e-12, n2=2.6e-20, alpha=0.5 / 0.24)
+    return [ks.make_gaussian_pulse(grid(), PUMP_WL, 180e-15, 8e-9, delay=15e-12)], f, 32, True
+
+
+class TestKernelStorage:
+    """Each kernel keeps its phase on its span and its output pump on its
+    window, against the full-grid rows the split-step returned: pumps that
+    stay on or grow from a sub-window, one whose walk-off carries the phase
+    past its window, and an off-centre pump that takes the whole grid."""
+
+    @pytest.fixture(params=[_sub_window_case, _walkoff_case, _whole_grid_case],
+                    ids=["sub-window", "walk-off", "whole-grid"])
+    def stored(self, request, split_steps):
+        pumps, f, steps, whole = request.param()
+        kernels = ks.compute_xpm_kernels(pumps, f, steps, SIG_WL)
+        assert len(split_steps) == 1
+        return pumps, kernels, split_steps[0], whole
+
+    def test_span_holds_every_nonzero_sample(self, stored):
+        pumps, kernels, (_, _, phase, _), whole = stored
+        g = pumps[0].grid
+        n = g.n_samples
+        for r, kernel in enumerate(kernels):
+            lo = int(np.flatnonzero(g.times == kernel.offsets[0])[0])
+            hi = lo + kernel.offsets.size
+            assert np.array_equal(kernel.offsets, g.times[lo:hi])
+            if whole:
+                assert (lo, hi) == (0, n)
+            else:
+                assert 0 < lo < hi < n
+            assert not phase[r, :lo].any() and not phase[r, hi:].any()
+            stored_phase = kernel.phase_vs_offset
+            assert np.array_equal(stored_phase != 0.0, phase[r, lo:hi] != 0.0)
+            # One zero guard at each end, none past a grid edge.
+            assert lo == 0 or (stored_phase[0] == 0.0 and stored_phase[1] != 0.0)
+            assert hi == n or (stored_phase[-1] == 0.0 and stored_phase[-2] != 0.0)
+
+    def test_pump_final_is_the_zero_padded_window(self, stored):
+        pumps, kernels, (windows, fields, _, _), _ = stored
+        g = pumps[0].grid
+        n = g.n_samples
+        for pump, kernel, m, field in zip(pumps, kernels, windows, fields, strict=True):
+            assert kernel.window_samples == m
+            assert np.array_equal(kernel.pump_window, field)
+            want = np.zeros(n, dtype=np.complex128)
+            want[(n - m) // 2 : (n - m) // 2 + m] = field
+            final = kernel.pump_final
+            assert np.array_equal(final.samples, want)
+            assert final.grid == g
+            assert final.center_wavelength == pump.center_wavelength

@@ -1,9 +1,11 @@
 """Switching efficiencies: closed form, simulation path, calibration, and
 temporal metrics."""
 
+import dataclasses
 import json
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -170,6 +172,7 @@ class TestCalibration:
         compute = ks.switch.compute_xpm_kernels
 
         def counting(pumps, *args):
+            pumps = list(pumps)
             batches.append(len(pumps))
             return compute(pumps, *args)
 
@@ -500,6 +503,7 @@ class TestSweepSurface:
         compute = ks.switch.compute_xpm_kernels
 
         def counting(pumps, *args):
+            pumps = list(pumps)
             batches.append(len(pumps))
             return compute(pumps, *args)
 
@@ -508,6 +512,47 @@ class TestSweepSurface:
         etas = ks.efficiency_vs_delay(first, 5.125e-9, delays)
         assert np.array_equal(ks.efficiency_vs_delay(second, 5.125e-9, delays), etas)
         assert batches == [1]
+
+
+@pytest.fixture(scope="module")
+def cold_sweep_kernels(tmp_path_factory):
+    """Every kernel a cold default `cmd_sweep` leaves in the kernel cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks.switch, "_kernel_cache", OrderedDict())
+        ks.cmd_sweep(ks.default_config(), tmp_path_factory.mktemp("cold_sweep"))
+        return list(ks.switch._kernel_cache.values())
+
+
+def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kernels):
+    """Each kernel's phase, stored on its span, gives the same efficiency
+    bits as a copy expanded onto the whole grid."""
+    grid = default_cfg.grid
+    delays = default_cfg.sweep.delays
+    assert any(k.offsets.size < grid.n_samples for k in cold_sweep_kernels)
+    for kernel in cold_sweep_kernels:
+        on_grid = dataclasses.replace(
+            kernel,
+            offsets=grid.times,
+            phase_vs_offset=ks.propagation.sample_xpm_phase(kernel, grid, 0.0),
+        )
+        got = ks.switch._etas(default_cfg, [kernel], delays)
+        assert got.max() > 0.0
+        assert np.array_equal(got, ks.switch._etas(default_cfg, [on_grid], delays))
+
+
+def test_cold_sweep_kernel_cache_holds_spans(default_cfg, cold_sweep_kernels):
+    """The 32 kernels of a cold default sweep hold under a quarter of the
+    24 bytes per grid sample each that a full-grid phase and output pump
+    would take. Their time axes are views of the one shared grid axis; the
+    rest are their own arrays, not views that keep a batch's arrays alive."""
+    n = default_cfg.grid.n_samples
+    axis = ks.propagation._grid_axis(default_cfg.grid)
+    assert len(cold_sweep_kernels) == 32
+    assert all(k.offsets.base is axis for k in cold_sweep_kernels)
+    assert all(k.phase_vs_offset.base is None and k.pump_window.base is None
+               for k in cold_sweep_kernels)
+    held = sum(k.phase_vs_offset.nbytes + k.pump_window.nbytes for k in cold_sweep_kernels)
+    assert held < 32 * 24 * n / 4
 
 
 def test_convergence_check_passes_at_defaults(default_cfg):
