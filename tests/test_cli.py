@@ -384,6 +384,7 @@ class TestCliMain:
         assert code == 3
         assert "step-doubling residual" in capsys.readouterr().err
 
+    def test_io_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
