@@ -28,10 +28,10 @@ XPM_DIFFERENTIAL_FACTOR = 4.0 / 3.0
 
 # Largest fraction of the pump energy a propagation sub-window may leave
 # outside itself at launch, or hold in its outer 1/16 at launch and at the end;
-# past it at the end the window doubles in place, as at a slice midpoint.
+# past it at the end the window grows in place, as at a slice midpoint.
 WINDOW_MASS_BOUND = 1e-15
 # Largest fraction of the pump energy a sub-window smaller than the grid may
-# hold in its outer 1/16 at a slice midpoint; past it the window doubles in
+# hold in its outer 1/16 at a slice midpoint; past it the window grows in
 # place. Zero-padding cuts the field at the window's edge, where its amplitude
 # goes as the square root of this mass, and the cut spreads into the pulse.
 # Growing at WINDOW_MASS_BOUND moved the default 14 nJ kernel by 5e-11 of its
@@ -60,10 +60,10 @@ class XpmKernel:
     one read-only array shared by every kernel on that grid.
 
     ``window_samples`` is the size of the centred sub-window the pump ended
-    on (``n_samples`` when it took the whole grid); the window may have grown
-    from a smaller one mid-fiber or after the last slice. ``pump_window``
-    holds the output pump on that window, and ``pump_final`` zero-pads it
-    back onto ``grid`` when read.
+    on, one of `_window_sizes` (``n_samples`` when it took the whole grid);
+    the window may have grown from a smaller one mid-fiber or after the last
+    slice. ``pump_window`` holds the output pump on that window, and
+    ``pump_final`` zero-pads it back onto ``grid`` when read.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -161,18 +161,30 @@ def _edge_mass(intensity: np.ndarray) -> np.ndarray:
     return intensity[..., :edge].sum(axis=-1) + intensity[..., -edge:].sum(axis=-1)
 
 
-def _launch_window(launch: np.ndarray, bound: float) -> int:
-    """Smallest centred power-of-two window that passes the launch guards
-    for a pump of intensity `launch`: at most `bound` of its energy outside,
-    and at most `bound` in the window's outer 1/16. The whole grid,
-    unguarded, when no smaller window passes."""
-    n, m = launch.size, _MIN_WINDOW
+def _window_sizes(n: int, m: int = _MIN_WINDOW) -> list[int]:
+    """The window sizes a pump on a grid of `n` samples steps through, from
+    `m` up to `n`: 3m/2 after a power of two and 4m/3 after 3 * 2**k, capped
+    at `n`. From 64 that is 64, 96, 128, 192, 256, ..., each a multiple of
+    32, so a window's outer 1/16 and its centring in the grid are exact.
+    pocketfft transforms 3 * 2**k samples about as fast per sample as 2**k."""
+    sizes = [m]
     while m < n:
+        m = min(m + (m // 2 if m & (m - 1) == 0 else m // 3), n)
+        sizes.append(m)
+    return sizes
+
+
+def _launch_window(launch: np.ndarray, bound: float) -> int:
+    """Smallest centred window of `_window_sizes` that passes the launch
+    guards for a pump of intensity `launch`: at most `bound` of its energy
+    outside, and at most `bound` in the window's outer 1/16. The whole grid,
+    unguarded, when no smaller window passes."""
+    n = launch.size
+    for m in _window_sizes(n)[:-1]:
         lo = (n - m) // 2
         inside = launch[lo : lo + m]
         if launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound:
             return m
-        m *= 2
     return n
 
 
@@ -185,10 +197,11 @@ class _Window:
         n = grid.n_samples
         self.m = m
         self.lo = (n - m) // 2
-        # m / n is a power of two, so the sub-grid's dt equals grid.dt exactly.
-        sub = grid if m == n else TimeGrid(n_samples=m, window=grid.window * m / n)
+        # The window's frequency axis at the grid's dt (TimeGrid takes only
+        # powers of two).
+        omega = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.dt)
         self.half = _linear_factor(
-            sub.omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz
+            omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz
         )
         self.full = self.half * self.half
         self._set(np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.complex128),
@@ -240,11 +253,11 @@ def _split_step(
     or more than ``WINDOW_MASS_BOUND`` at the output, grows in place. The
     pass's linear step is undone on the old window, which gives back the
     field before it (the launch field at the first pass), where the window
-    still passed. That field is zero-padded, centred, to twice the window
-    (or to the whole grid, which is not guarded), and the linear step is
-    redone there. The row then goes on in the larger window's group, and
-    may grow again. Rows never mix: each comes out bit for bit as it would
-    in a batch of one.
+    still passed. That field is zero-padded, centred, to the next of
+    `_window_sizes` (the whole grid, which is not guarded, at the top), and
+    the linear step is redone there. The row then goes on in the larger
+    window's group, and may grow again. Rows never mix: each comes out bit
+    for bit as it would in a batch of one.
 
     The transforms are numpy.fft, which is pocketfft: the kernels are the
     same bits as with the pocketfft they used before. Each writes into its
@@ -270,9 +283,7 @@ def _split_step(
     sums = np.empty((windows.size, steps + 1))
     phase = np.zeros((windows.size, n))
     # Every size a row can reach, smallest first.
-    sizes = [int(windows.min())]
-    while sizes[-1] < n:
-        sizes.append(2 * sizes[-1])
+    sizes = _window_sizes(n, int(windows.min()))
     groups: dict[int, _Window] = {}
 
     def group(m: int) -> _Window:
@@ -284,7 +295,7 @@ def _split_step(
         return g.half if k in (0, steps) else g.full
 
     def grow(g: _Window, leave: np.ndarray, k: int) -> None:
-        into = group(min(2 * g.m, n))
+        into = group(sizes[sizes.index(g.m) + 1])
         rows, a, gamma_dz = g.take(leave)
         np.fft.fft(a, out=a)
         a /= linear(g, k)
@@ -364,16 +375,17 @@ def compute_xpm_kernels(
     the `steps` slices, summed from the time-domain intensities the
     split-step already computes (see `_split_step`).
 
-    Each pump starts on the smallest power-of-two sub-window, centred in the
-    grid and at its ``dt``, that passes two launch guards: at most
+    Each pump starts on the smallest sub-window of `_window_sizes`, centred
+    in the grid and at its ``dt``, that passes two launch guards: at most
     ``WINDOW_MASS_BOUND`` of the pump energy lies outside it, and its outer
     1/16 holds at most that fraction of the energy. The search starts at 64
-    samples and doubles; once it reaches the full grid it propagates that,
-    unguarded, exactly as a kernel without the search would. At every slice
-    midpoint the outer 1/16 may hold at most ``GROWTH_MASS_BOUND`` of the
-    energy, and after the last slice at most ``WINDOW_MASS_BOUND``; a pump
-    with more grows in place to twice its window and goes on from there
-    (see `_split_step`), so ``window_samples`` is the window it ends on.
+    samples and steps through 96, 128, 192, ...; once it reaches the full
+    grid it propagates that, unguarded, exactly as a kernel without the
+    search would. At every slice midpoint the outer 1/16 may hold at most
+    ``GROWTH_MASS_BOUND`` of the energy, and after the last slice at most
+    ``WINDOW_MASS_BOUND``; a pump with more grows in place to the next size
+    and goes on from there (see `_split_step`), so ``window_samples`` is the
+    window it ends on.
     The walked-off phase is accumulated on the whole grid, so walk-off past
     the sub-window is kept, and each kernel stores it on its span (see
     `XpmKernel`); the output pump is stored on its final window.

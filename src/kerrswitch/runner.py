@@ -291,17 +291,17 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     run = _Run(config, out_dir)
     energies = np.asarray(config.sweep.energies, dtype=float)
 
-    spectra = pump_output_spectra(config, energies)
-    metric_rows = [
-        [e / _NJ, full_width(wl, density, 0.5)] for e, (wl, density) in zip(energies, spectra)
-    ]
-    # Streamed: only one rung's rows exist at a time.
-    spectra_rows = (
-        [e / _NJ, w, d]
-        for e, (wl, density) in zip(energies, spectra)
-        for w, d in zip(*clip_spectrum_support(wl, density))
-    )
-    run.write_csv("pump_spectra.csv", ["energy_nJ", "wavelength_nm", "density_per_nm"], spectra_rows)
+    metric_rows = []
+
+    def spectra_rows():
+        # Streamed: each rung's full-band spectrum is dropped once its FWHM
+        # is taken and its clipped rows are written.
+        for e, (wl, density) in zip(energies, pump_output_spectra(config, energies)):
+            metric_rows.append([e / _NJ, full_width(wl, density, 0.5)])
+            for w, d in zip(*clip_spectrum_support(wl, density)):
+                yield [e / _NJ, w, d]
+
+    run.write_csv("pump_spectra.csv", ["energy_nJ", "wavelength_nm", "density_per_nm"], spectra_rows())
     run.write_csv("spectrum_metrics.csv", ["energy_nJ", "fwhm_nm"], metric_rows)
 
     # Switched versus unswitched port. XPM imprints phase between the

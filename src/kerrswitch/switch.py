@@ -360,18 +360,17 @@ def pump_output_spectrum(
     A zero launch energy returns the transform-limited input spectrum: the
     normalized spectral shape is the zero-power limit of the propagated one.
     """
-    return pump_output_spectra(config, [pump_energy])[0]
+    return next(pump_output_spectra(config, [pump_energy]))
 
 
 def pump_output_spectra(
     config: ExperimentConfig, pump_energies: Iterable[float]
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`pump_output_spectrum` at each energy, in order, with the kernels of
-    the whole ladder propagated as one batch."""
-    return [
-        pump_spectrum(_make_pump(config, 1e-12) if k is None else k.pump_final)
-        for k in _kernels(config, pump_energies)
-    ]
+    the whole ladder propagated as one batch. Each spectrum is computed when
+    it is read, so a caller that drops each one holds one at a time."""
+    for k in _kernels(config, pump_energies):
+        yield pump_spectrum(_make_pump(config, 1e-12) if k is None else k.pump_final)
 
 
 def convergence_residual(

@@ -102,3 +102,13 @@ def test_traced_sweep_has_the_switch_layers(monkeypatch, tmp_path):
     } <= direct
     layers = run._sweep_layers(tracer.spans)
     assert type(layers["switch.residual_op"]) is float
+
+
+@pytest.mark.parametrize("workload", ["sweep", "fock", "spectrum"])
+def test_default_outputs_pass_the_benchmark_check(workload, default_cfg, tmp_path):
+    """The benchmark's own output check passes on a default run of each of
+    its workloads, so a numerics change it would count as a failed run
+    fails here first."""
+    command = {"sweep": ks.cmd_sweep, "fock": ks.cmd_fock, "spectrum": ks.cmd_spectrum}[workload]
+    command(default_cfg, tmp_path)
+    assert _load("checks").check(workload, tmp_path, "default") == []

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +228,45 @@ class TestCmdSpectrum:
         times = np.array([float(r[1]) for r in rows if r[0] == "switched"])
         tv = 0.5 * np.abs(switched - unswitched).sum() * (times[1] - times[0])
         assert tv < 1e-3
+
+    @staticmethod
+    def _traced_peaks(cfg, out, monkeypatch):
+        """tracemalloc peaks of a cold cmd_spectrum: up to the end of its
+        kernel batch, and after it."""
+        monkeypatch.setattr(ks.switch, "_kernel_cache", OrderedDict())
+        peaks = []
+        compute = ks.switch.compute_xpm_kernels
+
+        def marking(*args):
+            kernels = compute(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return kernels
+
+        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", marking)
+        tracemalloc.start()
+        try:
+            ks.cmd_spectrum(cfg, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return peaks
+
+    def test_cold_default_run_holds_one_spectrum_at_a_time(
+        self, default_cfg, monkeypatch, tmp_path
+    ):
+        """After its kernel batch, a cold default run holds one rung's
+        full-band spectrum at a time: its traced peak there is at least 5 MB
+        below that of the same run holding all 29 spectra, and below the
+        batch's own peak. Both runs write the same bytes."""
+        batch, streamed = self._traced_peaks(default_cfg, tmp_path / "a", monkeypatch)
+        spectra = ks.runner.pump_output_spectra
+        monkeypatch.setattr(ks.runner, "pump_output_spectra", lambda *args: list(spectra(*args)))
+        _, held = self._traced_peaks(default_cfg, tmp_path / "b", monkeypatch)
+        assert streamed <= held - 5e6
+        assert streamed < batch
+        for name in ("pump_spectra.csv", "spectrum_metrics.csv", "signal_tof.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestCmdCalibrate:

@@ -487,10 +487,10 @@ def _default_kernel(energy):
 def late_growth(monkeypatch):
     """Hold growth off until the end guard's own bound. No default pump
     grows after the last slice, because growth starts at a mass far below
-    the end guard's; with this bound a 5.3 nJ pump stays under it at every
-    slice midpoint on 1024 samples and ends over it."""
+    the end guard's; with this bound a 1.86 nJ pump stays under it at every
+    slice midpoint on 768 samples and ends over it."""
     monkeypatch.setattr(ks.propagation, "GROWTH_MASS_BOUND", ks.propagation.WINDOW_MASS_BOUND)
-    return _batch_pumps([5.3e-9])[0]
+    return _batch_pumps([1.86e-9])[0]
 
 
 def test_end_guard_grows_in_place(runs, late_growth):
@@ -500,9 +500,9 @@ def test_end_guard_grows_in_place(runs, late_growth):
     cfg = ks.default_config()
     kernel = ks.compute_xpm_kernel(pump, cfg.fiber, cfg.solver.steps,
                                    cfg.signal.center_wavelength)
-    assert runs == [[1024]]
+    assert runs == [[768]]
     m = kernel.window_samples
-    assert m == 2048
+    assert m == 1024
     got = ks.switch._etas(cfg, [kernel], cfg.sweep.delays)[0]
     reference = _reference_row(cfg, pump)
     assert reference.max() > 0.1
@@ -517,13 +517,86 @@ def test_end_guard_grows_in_place(runs, late_growth):
 
 def test_energy_conserved_across_growth(runs):
     """Without loss, a pump that grows mid-fiber keeps its energy through
-    every slice, the slices where its window doubled included."""
+    every slice, the slices where its window grew included."""
     assert ks.default_config().fiber.alpha == 0.0
     _, kernel = _default_kernel(14e-9)
-    assert runs == [[1024]]
-    assert kernel.window_samples > 1024
+    assert runs == [[768]]
+    assert kernel.window_samples > 768
     energy = kernel.per_step_energy
     assert np.abs(energy / energy[0] - 1.0).max() <= 1e-13
+
+
+class TestWindowSizes:
+    """The sizes a pump's window steps through, the launch search over them,
+    and the frequency axis each window is stepped on."""
+
+    @pytest.mark.parametrize("n", [2**k for k in range(6, 23)])
+    def test_ladder(self, n):
+        sizes = ks.propagation._window_sizes(n)
+        assert sizes[0] == 64 and sizes[-1] == n
+        assert all(a < b <= 1.5 * a for a, b in zip(sizes, sizes[1:]))
+        for m in sizes:
+            assert m % 32 == 0
+            odd = m // (m & -m)
+            assert odd in (1, 3), m
+        # Every power of two on the way is a rung, so no window is larger
+        # than a doubling ladder's.
+        assert {2**k for k in range(6, n.bit_length())} <= set(sizes)
+        for i, m in enumerate(sizes):
+            assert ks.propagation._window_sizes(n, m) == sizes[i:]
+
+    @staticmethod
+    def _brute_force_window(launch, bound):
+        """The first centred size 2**a or 3 * 2**a from 64 up that passes
+        the launch guards, else the whole grid."""
+        n = launch.size
+        for m in sorted({s for a in range(5, 23) for s in (2**a, 3 * 2**a) if 64 <= s < n}):
+            lo = (n - m) // 2
+            edge = m // 32
+            outside = launch[:lo].sum() + launch[lo + m :].sum()
+            rim = launch[lo : lo + edge].sum() + launch[lo + m - edge : lo + m].sum()
+            if outside <= bound and rim <= bound:
+                return m
+        return n
+
+    def test_launch_window_is_the_first_size_that_passes(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.integers(6, 14),
+            st.floats(0.5, 400.0),
+            st.floats(-0.3, 0.3),
+            st.sampled_from(["gaussian", "sech2"]),
+        )
+        def check(log_n, width, centre, shape):
+            n = 2**log_n
+            x = (np.arange(n) - n // 2 - centre * n) / width
+            if shape == "gaussian":
+                launch = np.exp(-4.0 * math.log(2.0) * x**2)
+            else:
+                launch = np.cosh(2.0 * math.asinh(1.0) * np.minimum(np.abs(x), 300.0)) ** -2.0
+            bound = ks.propagation.WINDOW_MASS_BOUND * launch.sum()
+            got = ks.propagation._launch_window(launch, bound)
+            assert got == self._brute_force_window(launch, bound)
+
+        check()
+
+    @pytest.mark.parametrize("n,window", [(16384, 40e-12), (4096, 13.7e-12), (256, 3.3e-12)])
+    def test_power_of_two_windows_keep_the_sub_grid_factor(self, n, window):
+        """On a power-of-two window the half-step factor is the one built
+        from the sub-grid's own omega, bit for bit."""
+        g = ks.TimeGrid(n_samples=n, window=window)
+        f = fiber(beta2_pump=24e-27, beta3_pump=2e-40, alpha=0.5 / 0.24)
+        dz = f.length / 64
+        for m in [2**k for k in range(6, n.bit_length())]:
+            sub = ks.TimeGrid(n_samples=m, window=window * m / n)
+            want = ks.propagation._linear_factor(
+                sub.omega, f.beta2_pump, f.beta3_pump, f.alpha, 0.5 * dz
+            )
+            got = ks.propagation._Window(g, m, f, dz).half
+            assert np.array_equal(got, want), m
 
 
 def _batch_pumps(energies, delay=0.0):
@@ -537,8 +610,8 @@ def _batch_pumps(energies, delay=0.0):
 
 class TestKernelBatch:
     """compute_xpm_kernels rows against one-pump kernels, on the default grid
-    and fiber at 64 steps: a 2 nJ pump that stays on 1024 samples, an 8 nJ
-    pump that launches on 1024 and grows in place to 4096 mid-fiber, and two
+    and fiber at 64 steps: a 0.5 nJ pump that stays on 768 samples, an 8 nJ
+    pump that launches on 768 and grows in place to 3072 mid-fiber, and two
     off-centre pumps that only the full grid holds."""
 
     STEPS = 64
@@ -562,7 +635,7 @@ class TestKernelBatch:
     @pytest.fixture(scope="class")
     def pumps(self):
         return (
-            _batch_pumps([2e-9, 8e-9])
+            _batch_pumps([0.5e-9, 8e-9])
             + _batch_pumps([8e-9], delay=15e-12)
             + _batch_pumps([6e-9], delay=-15e-12)
         )
@@ -573,14 +646,14 @@ class TestKernelBatch:
 
     def test_rows_land_on_three_window_sizes(self, pumps, batch):
         n = ks.default_config().grid.n_samples
-        assert [k.window_samples for k in batch] == [1024, 4096, n, n]
-        # The 8 nJ pump passes the launch guards at 1024 samples, so its
-        # 4096-sample kernel comes from growing in place.
+        assert [k.window_samples for k in batch] == [768, 3072, n, n]
+        # The 8 nJ pump passes the launch guards at 768 samples, so its
+        # 3072-sample kernel comes from growing in place.
         launch = np.abs(pumps[1].samples) ** 2
         first = ks.propagation._launch_window(
             launch, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
         )
-        assert first == 1024
+        assert first == 768
 
     @pytest.mark.parametrize("row", range(4))
     def test_row_equals_its_one_pump_kernel(self, pumps, batch, row):
@@ -598,11 +671,11 @@ class TestKernelBatch:
         assert mixed[2].pump_final.center_wavelength == 1060e-9
 
     def test_rows_that_grow_around_one_that_does_not(self, pumps):
-        """The 12 and 8 nJ rows leave the 1024-sample group and share a
-        larger one without the 2 nJ row between them."""
+        """The 12 and 8 nJ rows leave the 768-sample group and share a
+        larger one without the 0.5 nJ row between them."""
         mixed = _batch_pumps([12e-9]) + pumps[:2]
         batch = self._kernels(mixed)
-        assert [k.window_samples for k in batch] == [4096, 1024, 4096]
+        assert [k.window_samples for k in batch] == [4096, 768, 3072]
         for got, pump in zip(batch, mixed):
             self.assert_same(got, self._kernel(pump))
 
@@ -613,8 +686,8 @@ class TestKernelBatch:
         mixed = [pumps[0], late_growth, pumps[3]]
         batch = self._kernels(mixed)
         n = ks.default_config().grid.n_samples
-        assert runs == [[1024, 1024, n]]
-        assert [k.window_samples for k in batch] == [1024, 2048, n]
+        assert runs == [[768, 768, n]]
+        assert [k.window_samples for k in batch] == [768, 1024, n]
         for got, pump in zip(batch, mixed):
             self.assert_same(got, self._kernel(pump))
 

@@ -147,7 +147,7 @@ class TestCalibration:
             ks.calibrate_pi_energy(cfg)
 
     def test_default_energy_is_pinned(self, calibrated_energy):
-        assert calibrated_energy / NJ == 7.810040508505286
+        assert calibrated_energy / NJ == 7.810040508505639
 
     def test_repeated_energy_does_not_confine_the_refinement(self):
         """A sweep energy listed twice next to the best scanned one must not
@@ -179,7 +179,7 @@ class TestCalibration:
         monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
         energy = ks.calibrate_pi_energy(default_cfg)
         assert batches == [28, 3]
-        assert energy / NJ == 7.810040508505286
+        assert energy / NJ == 7.810040508505639
 
     @pytest.mark.parametrize("doc", [
         {},
