@@ -549,9 +549,9 @@ def pump_spectrum(pulse: PulseEnvelope) -> tuple[np.ndarray, np.ndarray]:
     # d(omega)/d(lambda) = -2*pi*c / lambda^2; magnitude for a density.
     density_wl = density_omega * 2.0 * math.pi * C_LIGHT / wavelength**2
 
-    order = np.argsort(wavelength)
-    wavelength = wavelength[order]
-    density_wl = density_wl[order]
+    # omega_abs increases strictly, so the wavelengths decrease strictly.
+    wavelength = wavelength[::-1]
+    density_wl = density_wl[::-1]
     density_wl /= np.trapezoid(density_wl, wavelength)
     return wavelength * 1e9, density_wl * 1e-9
 
