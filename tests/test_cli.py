@@ -120,10 +120,13 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
     """Every pump kernel of a cold default sweep runs from launch once: one
     split-step call per batch of kernels, one row per kernel. The batches
     are the 28-pump ladder, the convergence check's 512-step kernel and the
-    calibration's one refinement round of 3."""
-    kernels, rows = [], []
+    calibration's one refinement round of 3. The config is hashed a few
+    hundred times (285 from a fresh process), not once per delay or cell,
+    so its hash needs no cache."""
+    kernels, rows, hashes = [], [], []
     compute = ks.switch.compute_xpm_kernels
     split_step = ks.propagation._split_step
+    config_hash = ks.ExperimentConfig.__hash__
 
     def counting_kernels(pumps, *args):
         pumps = list(pumps)
@@ -134,11 +137,17 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
         rows.append(len(launch))
         return split_step(launch, *args)
 
+    def counting_hash(config):
+        hashes.append(None)
+        return config_hash(config)
+
     monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting_kernels)
     monkeypatch.setattr(ks.propagation, "_split_step", counting_split_step)
+    monkeypatch.setattr(ks.ExperimentConfig, "__hash__", counting_hash)
     ks.cmd_sweep(default_cfg, tmp_path)
     assert rows == kernels
     assert kernels == [28, 1, 3]
+    assert 0 < len(hashes) <= 1000
 
 
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):
@@ -348,6 +357,18 @@ class TestCliMain:
         code = main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error: fiber.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "sweep", "fock", "spectrum", "calibrate"])
+    @pytest.mark.parametrize("section", ["pump", "signal"])
+    def test_pulse_wider_than_the_grid_is_a_config_error(self, tmp_path, capsys, command, section):
+        """A 20 ps pulse does not fit the default 40 ps window. The config is
+        rejected when it is built, so `validate-config` says what every
+        command says, and no command writes anything."""
+        cfg_path = self.write_config(tmp_path, {section: {"fwhm_fs": 20000.0}})
+        code = main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {section}.fwhm_duration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_needs_strict_flag(self, tmp_path, capsys):

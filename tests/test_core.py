@@ -170,15 +170,24 @@ def test_config_is_immutable_and_hashable(default_cfg):
     assert hash(default_cfg) == hash(ks.default_config())
 
 
-def test_config_hash_is_computed_once_and_not_kept():
-    """Equal configs built apart hash alike, to the field-tuple hash; the
-    cached value is no field, so equality and repr ignore it, and a pickled
-    config leaves it behind."""
+@pytest.mark.parametrize("section", ["pump", "signal"])
+def test_config_pulses_must_fit_grid(section):
+    """The fit rule of the pulse builders holds when the config is built."""
+    cfg = ks.default_config()
+    quarter = cfg.grid.window / 4.0
+    below = dataclasses.replace(getattr(cfg, section), fwhm_duration=math.nextafter(quarter, 0.0))
+    dataclasses.replace(cfg, **{section: below})
+    at = dataclasses.replace(getattr(cfg, section), fwhm_duration=quarter)
+    with pytest.raises(GridTooSmall, match=f"{section}.fwhm_duration"):
+        dataclasses.replace(cfg, **{section: at})
+
+
+def test_config_hash_is_the_field_tuple_hash():
+    """Equal configs built apart hash alike, to the hash of their field
+    tuple, and a pickled copy is equal and hashes the same."""
     a, b = ks.default_config(), ks.parse_config("{}")
     assert a is not b and a == b
     expected = hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
-    assert hash(a) == hash(b) == hash(a) == expected
-    assert "_hash" not in repr(a) and a == b
+    assert hash(a) == hash(b) == expected
     copy = pickle.loads(pickle.dumps(a))
-    assert "_hash" not in vars(copy)
     assert copy == a and hash(copy) == expected

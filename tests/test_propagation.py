@@ -233,6 +233,20 @@ class TestPumpSpectrum:
         with pytest.raises(ZeroEnergy):
             ks.pump_spectrum(pump)
 
+    @pytest.mark.parametrize("n,window", [(1024, 1e-12), (4096, 20e-12), (16384, 40e-12)])
+    @pytest.mark.parametrize("wavelength", [800e-9, PUMP_WL, SIG_WL])
+    def test_axis_is_the_sorted_axis(self, n, window, wavelength):
+        """The wavelengths of the positive absolute frequencies come out
+        increasing, and sorting them is reversing them. The 1 ps grid's band
+        reaches past zero frequency, so some of its samples are dropped."""
+        g = ks.TimeGrid(n_samples=n, window=window)
+        wl_nm, _ = ks.pump_spectrum(ks.make_gaussian_pulse(g, wavelength, window / 16, 1e-9))
+        omega = 2.0 * math.pi * ks.C_LIGHT / wavelength + np.fft.fftshift(g.omega)
+        raw = 2.0 * math.pi * ks.C_LIGHT / omega[omega > 0.0]
+        assert np.all(np.diff(wl_nm) > 0.0)
+        assert np.array_equal(np.argsort(raw), np.arange(raw.size)[::-1])
+        assert np.array_equal(wl_nm, raw[np.argsort(raw)] * 1e9)
+
     def test_spm_ladder_fwhm_non_decreasing(self, default_cfg):
         fwhms = []
         for e_nj in (0.0, 2.0, 4.0, 8.0, 12.0):
@@ -483,14 +497,72 @@ def _default_kernel(energy):
     return pump, kernel
 
 
+def _growth_pass(energy):
+    """The pass at which a default pump of `energy` first grows its window
+    at the default steps, or infinity if it never does. A one-row batch makes
+    one `_add_shifted` call per nonlinear step, so pass k has made k calls
+    when its guard takes the row out of its window."""
+    cfg = ks.default_config()
+    added, grew = [], []
+    add_shifted, take = ks.propagation._add_shifted, ks.propagation._Window.take
+
+    def counting_add(*args):
+        added.append(None)
+        return add_shifted(*args)
+
+    def recording_take(window, leave):
+        grew.append(len(added))
+        return take(window, leave)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks.propagation, "_add_shifted", counting_add)
+        mp.setattr(ks.propagation._Window, "take", recording_take)
+        ks.compute_xpm_kernel(_batch_pumps([energy])[0], cfg.fiber, cfg.solver.steps,
+                              cfg.signal.center_wavelength)
+    return grew[0] if grew else math.inf
+
+
+def _bisect(turns, lo, hi, tol=1e-13):
+    """The energy between `lo` and `hi` where `turns(energy)` goes from
+    false to true, to within `tol`."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if turns(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def late_growth_energy():
+    """The middle of the band of default pump energies that, with growth
+    held to the end guard's bound, launch on 768 samples, pass every slice
+    midpoint and grow only after the last slice. The band is found, not
+    pinned: it is about 0.015 nJ wide near 1.86 nJ, and a split-step change
+    that moves a window's edge mass moves it."""
+    steps = ks.default_config().solver.steps
+    bound = ks.propagation.WINDOW_MASS_BOUND
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks.propagation, "GROWTH_MASS_BOUND", bound)
+        first = _bisect(lambda e: _growth_pass(e) <= steps, 1e-9, 3e-9)
+        early = _bisect(lambda e: _growth_pass(e) < steps, 1e-9, 3e-9)
+        energy = 0.5 * (first + early)
+        launch = np.abs(_batch_pumps([energy])[0].samples) ** 2
+        found = ks.propagation._launch_window(launch, bound * launch.sum()), _growth_pass(energy)
+    assert found == (768, steps), (
+        f"a {energy:.6g} J pump launches on {found[0]} samples and first grows at pass "
+        f"{found[1]}; the late-growth pump must launch on 768 samples, pass every slice "
+        f"midpoint and grow only at the end guard (pass {steps})"
+    )
+    return energy
+
+
 @pytest.fixture
-def late_growth(monkeypatch):
+def late_growth(monkeypatch, late_growth_energy):
     """Hold growth off until the end guard's own bound. No default pump
     grows after the last slice, because growth starts at a mass far below
-    the end guard's; with this bound a 1.86 nJ pump stays under it at every
-    slice midpoint on 768 samples and ends over it."""
+    the end guard's; with this bound the `late_growth_energy` pump stays
+    under it at every slice midpoint on 768 samples and ends over it."""
     monkeypatch.setattr(ks.propagation, "GROWTH_MASS_BOUND", ks.propagation.WINDOW_MASS_BOUND)
-    return _batch_pumps([1.86e-9])[0]
+    return _batch_pumps([late_growth_energy])[0]
 
 
 def test_end_guard_grows_in_place(runs, late_growth):
