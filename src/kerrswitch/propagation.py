@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import C_LIGHT, FiberSpec, PulseEnvelope, TimeGrid, energy
 from .errors import GridMismatch, ValidationError, ZeroEnergy
@@ -55,8 +56,8 @@ class XpmKernel:
     advection enters only through the difference of the two time axes. The
     curve is stored on its span: the grid samples where it is nonzero, plus
     one zero on each side (none past a grid end). It is zero off the span,
-    so ``np.interp(..., left=0, right=0)`` on it gives the same bits as on
-    the whole grid. ``offsets`` is the span's view of the grid's time axis,
+    so `_DelayedPhase` samples it at any delay to the same bits as on the
+    whole grid. ``offsets`` is the span's view of the grid's time axis,
     one read-only array shared by every kernel on that grid.
 
     ``window_samples`` is the size of the centred sub-window the pump ended
@@ -457,11 +458,72 @@ def compute_xpm_kernel(
     return compute_xpm_kernels([pump], fiber, steps, signal_wavelength)[0]
 
 
+class _DelayedPhase:
+    """One kernel's phase on `size` consecutive samples of its grid, from
+    time `start`, for a pump launched at any delay.
+
+    The signal's samples and the span's offsets lie on one grid, so a delay
+    tau = (whole + frac) * dt with 0 <= frac < 1 moves every sample by the
+    same two taps: sample i gets ``near + frac * (far - near)``, where `near`
+    is the span's value `whole` samples before it and `far` the value one
+    sample further. `near` and `far` are two shifted rows of one
+    `sliding_window_view` of the span, zero-padded by `size` on each side
+    (one more before it). A delay whose shifted span misses the `size`
+    samples reads two rows of padding, exactly 0, so the padding does not
+    grow with the delay. This is ``np.interp(t - tau, offsets, phase,
+    left=0, right=0)`` to within roundoff: a sample whose taps are not both
+    on the span gets 0 (only its near tap at frac = 0), which matters only
+    where a span ends on a grid end with a nonzero phase.
+    """
+
+    def __init__(self, kernel: XpmKernel, start: float, size: int):
+        span = kernel.phase_vs_offset
+        self.dt = kernel.grid.dt
+        # Padded index of the span's first sample; rows 0 and 1 are padding.
+        self.lead = size + 1
+        phase = np.zeros(self.lead + span.size + size)
+        phase[self.lead : self.lead + span.size] = span
+        self.taps = sliding_window_view(phase, size)
+        # Row of the near taps at delay 0.
+        self.base = int(round((start - kernel.offsets[0]) / self.dt)) + self.lead
+        self.span = span.size
+        self.ends_on_grid_end = bool(span[0] != 0.0 or span[-1] != 0.0)
+
+    def __call__(self, delays: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the phase at each of `delays` into the rows of `out`, a
+        ``(delays.size, size)`` array, and return it."""
+        shifts = delays / self.dt
+        whole = np.floor(shifts)
+        first = self.base - whole
+        hit = (first >= 2.0) & (first < self.taps.shape[0])
+        rows = np.where(hit, first, 1.0).astype(np.intp)
+        frac = np.where(hit, shifts - whole, 0.0)[:, None]
+        near = self.taps[rows]
+        np.subtract(self.taps[rows - 1], near, out=out)
+        out *= frac
+        out += near
+        if self.ends_on_grid_end:
+            # Zero each sample whose near tap, or far tap where it is
+            # weighted, lies off the span, as np.interp does.
+            tap = np.arange(out.shape[-1]) + rows[:, None]
+            out[(tap < self.lead + (frac > 0.0)) | (tap >= self.lead + self.span)] = 0.0
+        return out
+
+
 def sample_xpm_phase(kernel: XpmKernel, grid: TimeGrid, delay: float) -> np.ndarray:
-    """Differential phase profile on `grid` for a pump delayed by `delay`."""
-    return np.interp(
-        grid.times - delay, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0
-    )
+    """Differential phase profile on `grid` for a pump delayed by `delay`,
+    sampled by `_DelayedPhase`; at a delay of 0 it is the span, copied onto
+    the grid exactly.
+
+    Raises:
+        GridMismatch: if `grid` is not the kernel's grid.
+    """
+    if grid != kernel.grid:
+        raise GridMismatch("the phase is sampled on the kernel's own grid")
+    out = np.empty((1, grid.n_samples))
+    return _DelayedPhase(kernel, float(grid.times[0]), grid.n_samples)(
+        np.array([float(delay)]), out
+    )[0]
 
 
 def propagate_signal_linear(signal: PulseEnvelope, fiber: FiberSpec) -> PulseEnvelope:

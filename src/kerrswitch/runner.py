@@ -50,7 +50,7 @@ from .tof import spectrum_to_histogram
 _PS = 1e-12
 _FS = 1e-15
 _NJ = 1e-9
-_CSV_BLOCK = 4096  # rows formatted per write
+_CSV_BLOCK = 512  # rows formatted per write
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ import numpy as np
 from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
 # `compute_xpm_kernel` and `sample_xpm_phase` are not called here (kernels
-# come from `compute_xpm_kernels`, efficiencies from `_etas`); perfbench's
+# come from `compute_xpm_kernels`, phases from `_DelayedPhase`); perfbench's
 # tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
+    _DelayedPhase,
     compute_xpm_kernel,
     compute_xpm_kernels,
     propagate_signal_linear,
@@ -134,6 +135,16 @@ def _signal_support(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, weights
 
 
+def _rotated(signal_weights: np.ndarray, xpm_phase: np.ndarray) -> float | np.ndarray:
+    """Weighted sum of sin^2(phase/2) along the last axis, computed in
+    `xpm_phase`, which it overwrites."""
+    xpm_phase *= 0.5
+    np.sin(xpm_phase, out=xpm_phase)
+    xpm_phase *= xpm_phase
+    xpm_phase *= signal_weights
+    return xpm_phase.sum(axis=-1)
+
+
 def efficiency_from_phase(
     signal_weights: np.ndarray, xpm_phase: np.ndarray, theta: float
 ) -> float | np.ndarray:
@@ -145,17 +156,17 @@ def efficiency_from_phase(
     closed-form efficiency. The weighted sum runs along the last axis, so a
     row of a stack gets the same bits as that row alone, at any length; it is
     no dot product, which OpenBLAS would run on threads that spin while they
-    wait and burn cores. One profile gives a float.
+    wait and burn cores. One profile gives a float. The sum is `_etas`' own,
+    run on a copy of `xpm_phase`.
     """
-    total = signal_weights.sum()
-    rotated = (signal_weights * np.sin(0.5 * xpm_phase) ** 2).sum(axis=-1) / total
+    rotated = _rotated(signal_weights, np.array(xpm_phase, dtype=float)) / signal_weights.sum()
     eta = math.sin(2.0 * theta) ** 2 * rotated
     return float(eta) if np.ndim(eta) == 0 else eta
 
 
-# Most (delay, support) values `_etas` samples in one block: 8 MB per
-# temporary, however long the signal's support or the delay axis.
-_ETA_BLOCK = 2**20
+# Most (delay, support) values `_etas` evaluates in one block: 512 kB per
+# block, however long the signal's support or the delay axis.
+_ETA_BLOCK = 2**16
 
 
 def _etas(
@@ -167,26 +178,28 @@ def _etas(
     each of `delays`, as a (kernels, delays) array; every simulated
     efficiency is computed here.
 
-    Each kernel's phase is sampled on the signal's support for a block of
-    delays at once, one ``(delays, support)`` array of at most `_ETA_BLOCK`
-    values, and `efficiency_from_phase` sums each of its rows. An entry is
-    the same bits whatever delays share its block, so a row equals the
-    one-delay calls.
+    Each kernel's phase is sampled on the signal's support by
+    `_DelayedPhase` for a block of delays at once, into one reused
+    ``(delays, support)`` buffer of at most `_ETA_BLOCK` values (one row,
+    at least), and `_rotated` sums each of its rows in place, as
+    `efficiency_from_phase` does. An entry is the same bits whatever delays
+    share its block, so a row equals the one-delay calls.
     """
     times, weights = _signal_support(config)
     delays = np.asarray(delays, dtype=float)
     block = max(1, _ETA_BLOCK // times.size)
-    theta = config.geometry.theta
+    scale = math.sin(2.0 * config.geometry.theta) ** 2
+    total = weights.sum()
+    phase = np.empty((min(block, delays.size), times.size))
     rows = []
     for kernel in kernels:
         row = np.zeros(delays.size)
         if kernel is not None:
+            sample = _DelayedPhase(kernel, float(times[0]), times.size)
             for start in range(0, delays.size, block):
-                taus = delays[start : start + block, None]
-                phase = np.interp(
-                    times - taus, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0
-                )
-                row[start : start + block] = efficiency_from_phase(weights, phase, theta)
+                taus = delays[start : start + block]
+                rotated = _rotated(weights, sample(taus, phase[: taus.size]))
+                row[start : start + block] = scale * (rotated / total)
         rows.append(row)
     return np.array(rows).reshape(len(rows), delays.size)
 

@@ -329,6 +329,67 @@ class TestShiftedAccumulate:
         assert np.array_equal(acc, expected)
 
 
+class TestDelayedPhase:
+    """`_DelayedPhase` and `sample_xpm_phase` against np.interp on the span.
+
+    The grid has dt = 1 s and the delays are dyadic fractions, so t - tau is
+    exact and both sides blend with the same weights; only the final
+    roundings differ.
+    """
+
+    GRID = ks.TimeGrid(n_samples=64, window=64.0)
+
+    def kernel(self, lo, hi):
+        """A kernel on grid samples lo..hi - 1, nonzero up to both span ends."""
+        rng = np.random.default_rng(lo * 100 + hi)
+        return ks.XpmKernel(
+            offsets=self.GRID.times[lo:hi],
+            phase_vs_offset=rng.uniform(0.5, 2.0, hi - lo),
+            pump_window=np.zeros(64, dtype=np.complex128),
+            grid=self.GRID,
+            pump_wavelength=PUMP_WL,
+            per_step_energy=np.zeros(9),
+            steps=8,
+            window_samples=64,
+        )
+
+    SHIFTS = [0.0, 0.25, -2.75, 10.5, 0.0078125, 3.0, -7.0, 31.5, -31.75, 63.0, -63.0,
+              64.0, -64.0, 64.5, -64.5, 1000.25, -1000.0, 1e9 + 0.5]
+
+    @pytest.mark.parametrize("span", [(0, 64), (0, 20), (40, 64), (10, 30)])
+    @pytest.mark.parametrize("delay", SHIFTS)
+    def test_sample_equals_interp_zero_filled(self, span, delay):
+        kernel = self.kernel(*span)
+        t = self.GRID.times
+        expected = np.interp(t - delay, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0)
+        got = ks.propagation.sample_xpm_phase(kernel, self.GRID, delay)
+        assert np.abs(got - expected).max() <= 1e-15 * 2.0
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        if delay == 0.0:
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("span", [(0, 64), (10, 30)])
+    def test_block_rows_equal_the_grid_samples(self, span):
+        """Rows of a block on a run of the grid are the whole-grid samples
+        at each delay, bit for bit, whatever delays share the block."""
+        kernel = self.kernel(*span)
+        delays = np.array(self.SHIFTS)
+        first, size = 17, 25
+        sample = ks.propagation._DelayedPhase(kernel, float(self.GRID.times[first]), size)
+        block = sample(delays, np.empty((delays.size, size)))
+        for tau, row in zip(delays, block):
+            whole = ks.propagation.sample_xpm_phase(kernel, self.GRID, tau)
+            assert np.array_equal(row, whole[first : first + size])
+            alone = sample(np.array([tau]), np.empty((1, size)))[0]
+            assert np.array_equal(row, alone)
+
+    def test_other_grid_rejected(self):
+        with pytest.raises(GridMismatch):
+            ks.propagation.sample_xpm_phase(
+                self.kernel(0, 64), ks.TimeGrid(n_samples=128, window=64.0), 0.0
+            )
+
+
 def reference_xpm_kernel(pump, f, steps, signal_wavelength):
     """Plain symmetric SSFM: two half-dispersion FFT pairs per slice and an
     np.interp walk-off resample, as compute_xpm_kernel was first written."""

@@ -84,3 +84,22 @@ def test_rows_that_do_not_fit_the_first_raise(tmp_path):
     for bad in ([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0, 5.0]], [[1.0, 2.0], ["exact", 2.0]]):
         with pytest.raises(TypeError):
             run.write_csv("table.csv", ["a", "b"], bad)
+
+
+@pytest.fixture(scope="module")
+def fock_csv(tmp_path_factory):
+    """Bytes of a default `cmd_fock`'s fock_probs.csv at the default block."""
+    out = tmp_path_factory.mktemp("fock")
+    ks.cmd_fock(ks.default_config(), out)
+    return (out / "fock_probs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_fock_csv_bytes_do_not_depend_on_the_block(block, fock_csv, tmp_path, monkeypatch):
+    """fock_probs.csv (6534 rows) is the same file whatever number of rows
+    is formatted per write."""
+    assert runner._CSV_BLOCK not in (1, 7, 4096)
+    monkeypatch.setattr(runner, "_CSV_BLOCK", block)
+    ks.cmd_fock(ks.default_config(), tmp_path)
+    assert fock_csv.count(b"\n") == 6535
+    assert (tmp_path / "fock_probs.csv").read_bytes() == fock_csv

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -401,19 +402,119 @@ def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
     support = ks.switch._signal_support(cfg)[0].size
     monkeypatch.setattr(ks.switch, "_ETA_BLOCK", 50 * support)
     blocks = []
-    evaluate = ks.switch.efficiency_from_phase
+    evaluate = ks.switch._rotated
 
-    def recording(weights, phase, theta):
+    def recording(weights, phase):
         blocks.append(phase.shape)
-        return evaluate(weights, phase, theta)
+        return evaluate(weights, phase)
 
-    monkeypatch.setattr(ks.switch, "efficiency_from_phase", recording)
+    monkeypatch.setattr(ks.switch, "_rotated", recording)
     delays = np.asarray(cfg.sweep.delays)
     row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
     assert blocks == [(50, support), (50, support), (21, support)]
     direct = [ks.numeric_efficiency(cfg, 8e-9, float(tau)).eta for tau in delays]
     assert row.max() > 0.1
     assert row.tolist() == direct
+
+
+def _interp_row(cfg, kernel, delays):
+    """Efficiency of `kernel` at each of `delays` with the phase sampled by
+    np.interp on the span, one delay at a time."""
+    times, weights = ks.switch._signal_support(cfg)
+    return np.array([
+        ks.efficiency_from_phase(
+            weights,
+            np.interp(times - tau, kernel.offsets, kernel.phase_vs_offset, left=0.0, right=0.0),
+            cfg.geometry.theta,
+        )
+        for tau in delays
+    ])
+
+
+def _default_delay_axes(cfg):
+    axis = np.asarray(cfg.sweep.delays)
+    whole = np.arange(-2400, 2401, 40) * cfg.grid.dt
+    return {
+        "axis": axis,
+        "reversed": axis[::-1],
+        "whole_samples": whole,
+        "one_microsecond": np.array([-1e-6, 1e-6]),
+    }
+
+
+class TestTwoTapEvaluator:
+    """`_etas` samples the phase by two shifted views of the span; its rows
+    are np.interp's to within roundoff, with the same exact zeros."""
+
+    @pytest.mark.parametrize("energy_nj", [0.5, 4.0, 7.8, 14.0])
+    @pytest.mark.parametrize("axis", ["axis", "reversed", "whole_samples", "one_microsecond"])
+    def test_rows_match_np_interp(self, default_cfg, energy_nj, axis):
+        delays = _default_delay_axes(default_cfg)[axis]
+        if axis == "whole_samples":
+            # Most of these delays divide by dt exactly (frac = 0); the rest
+            # land an ulp below and blend with frac = 1 - 2**-k.
+            shifts = delays / default_cfg.grid.dt
+            assert (shifts == np.floor(shifts)).sum() >= 90
+        (kernel,) = ks.switch._kernels(default_cfg, [energy_nj * NJ])
+        row = ks.switch._etas(default_cfg, [kernel], delays)[0]
+        reference = _interp_row(default_cfg, kernel, delays)
+        assert np.abs(row - reference).max() <= 1e-15
+        assert np.array_equal(row == 0.0, reference == 0.0)
+        if axis == "one_microsecond":
+            assert row.tolist() == [0.0, 0.0]
+        else:
+            assert row.max() > 1e-3
+
+    def test_span_on_the_grid_ends(self):
+        """Walk-off carries the phase past both ends of a 10 ps grid, so the
+        span ends on the grid ends with a nonzero phase, where np.interp
+        steps to 0; delays sweep both ends across the signal."""
+        cfg = ks.parse_config(json.dumps({
+            "grid": {"n_samples": 4096, "window_ps": 10.0},
+            "fiber": {"walkoff_ps_m": 50.0},
+            "solver": {"steps": 16},
+        }))
+        (kernel,) = ks.switch._kernels(cfg, [8 * NJ])
+        assert kernel.offsets.size == cfg.grid.n_samples
+        assert kernel.phase_vs_offset[0] > 0.1 and kernel.phase_vs_offset[-1] > 0.1
+        delays = (np.arange(-4800, 4801, 40) + 0.3) * cfg.grid.dt
+        row = ks.switch._etas(cfg, [kernel], delays)[0]
+        reference = _interp_row(cfg, kernel, delays)
+        assert np.abs(row - reference).max() <= 1e-15
+        assert np.array_equal(row == 0.0, reference == 0.0)
+        assert (row == 0.0).any() and row.max() > 0.1
+
+    def test_blocks_stay_bounded(self, default_cfg):
+        """Over the default sweep's 29 kernels (computed beforehand), `_etas`
+        traces at most four blocks' worth of memory: its buffer, the near and
+        far rows it gathers for a block, and a padded span."""
+        kernels = list(ks.switch._kernels(default_cfg, default_cfg.sweep.energies))
+        assert len(kernels) == 29
+        ks.switch._signal_support(default_cfg)
+        tracemalloc.start()
+        try:
+            ks.switch._etas(default_cfg, kernels, default_cfg.sweep.delays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**16 * 8  # 2 MiB: four blocks of 2**16 doubles
+
+
+def test_efficiency_from_phase_is_the_plain_weighted_sum():
+    """The in-place sum gives the bits of the out-of-place expression, and
+    leaves the caller's phase alone."""
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(0.0, 1.0, 3001)
+    phases = rng.uniform(-4.0, 4.0, (7, 3001))
+    phases[2] = 0.0
+    kept = phases.copy()
+    for theta in (0.3, math.pi / 4):
+        got = ks.efficiency_from_phase(weights, phases, theta)
+        plain = math.sin(2.0 * theta) ** 2 * (
+            (weights * np.sin(0.5 * phases) ** 2).sum(axis=-1) / weights.sum()
+        )
+        assert got.tolist() == plain.tolist()
+        assert np.array_equal(phases, kept)
 
 
 class TestSweepSurface:
