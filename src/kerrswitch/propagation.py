@@ -191,8 +191,7 @@ def _launch_window(launch: np.ndarray, bound: float) -> int:
 
 class _Window:
     """The rows of one `_split_step` call that currently run on the same
-    centred window of `m` samples: their indices, fields, Kerr coefficients
-    and work buffers."""
+    centred window of `m` samples: their indices, fields and work buffers."""
 
     def __init__(self, grid: TimeGrid, m: int, fiber: FiberSpec, dz: float):
         n = grid.n_samples
@@ -205,28 +204,25 @@ class _Window:
             omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz
         )
         self.full = self.half * self.half
-        self._set(np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.complex128),
-                  np.empty((0, 1)))
+        self._set(np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.complex128))
 
-    def _set(self, rows: np.ndarray, a: np.ndarray, gamma_dz: np.ndarray) -> None:
-        self.rows, self.a, self.gamma_dz = rows, a, gamma_dz
+    def _set(self, rows: np.ndarray, a: np.ndarray) -> None:
+        self.rows, self.a = rows, a
         self.intensity = np.empty(a.shape)
         self.work = np.empty(a.shape)
         self.rotation = np.empty(a.shape, dtype=np.complex128)
 
-    def join(self, rows: np.ndarray, a: np.ndarray, gamma_dz: np.ndarray) -> None:
+    def join(self, rows: np.ndarray, a: np.ndarray) -> None:
         """Add rows with their time-domain fields `a`."""
-        self._set(np.concatenate([self.rows, rows]), np.concatenate([self.a, a]),
-                  np.concatenate([self.gamma_dz, gamma_dz]))
+        self._set(np.concatenate([self.rows, rows]), np.concatenate([self.a, a]))
 
-    def take(self, leave: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Remove the rows flagged in `leave` and return their indices,
-        fields and Kerr coefficients; the rows that stay keep this slice's
-        intensity."""
-        taken = self.rows[leave], self.a[leave], self.gamma_dz[leave]
+    def take(self, leave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Remove the rows flagged in `leave` and return their indices and
+        fields; the rows that stay keep this slice's intensity."""
+        taken = self.rows[leave], self.a[leave]
         stay = ~leave
         intensity = self.intensity[stay]
-        self._set(self.rows[stay], self.a[stay], self.gamma_dz[stay])
+        self._set(self.rows[stay], self.a[stay])
         self.intensity = intensity
         return taken
 
@@ -237,28 +233,30 @@ def _split_step(
     grid: TimeGrid,
     fiber: FiberSpec,
     steps: int,
-    gamma_pump: np.ndarray,
+    gamma: float,
 ) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
     """Propagate the time-domain pumps `launch` over `steps` slices, all
-    rows in lockstep. Row r starts on the centred window of ``windows[r]``
-    samples of `grid`, ``launch[r]`` is its launch field on that window, and
-    its Kerr coefficient is ``gamma_pump[r, 0]``.
+    rows in lockstep with the Kerr coefficient `gamma`. Row r starts on the
+    centred window of ``windows[r]`` samples of `grid`, and ``launch[r]`` is
+    its launch field on that window.
 
-    One loop makes passes k = 0..steps. Pass k makes the linear step where
-    slices k - 1 and k meet: a half step at either end of the fiber, the two
-    halves joined as one full step in between. It then guards the window
-    and, except after the last slice, makes slice k's nonlinear step. The
-    rows that share a window size run through each pass together, smallest
-    size first. A row on a window smaller than the grid whose outer 1/16
-    holds more than ``GROWTH_MASS_BOUND`` of its energy at a slice midpoint,
-    or more than ``WINDOW_MASS_BOUND`` at the output, grows in place. The
-    pass's linear step is undone on the old window, which gives back the
-    field before it (the launch field at the first pass), where the window
-    still passed. That field is zero-padded, centred, to the next of
-    `_window_sizes` (the whole grid, which is not guarded, at the top), and
-    the linear step is redone there. The row then goes on in the larger
-    window's group, and may grow again. Rows never mix: each comes out bit
-    for bit as it would in a batch of one.
+    One loop makes passes k = 0..steps. In each pass the rows that share a
+    window size run together, one group at a time, smallest size first.
+    A group makes the linear step where slices k - 1 and k meet: a half step
+    at either end of the fiber, the two halves joined as one full step in
+    between. It then guards the window and, except after the last slice,
+    makes slice k's nonlinear step. A row on a window smaller than the grid
+    whose outer 1/16 holds more than ``GROWTH_MASS_BOUND`` of its energy at
+    a slice midpoint, or more than ``WINDOW_MASS_BOUND`` at the output,
+    grows in place. The pass's linear step is undone on the old window,
+    which gives back the field before it (the launch field at the first
+    pass), where the window still passed. That field is zero-padded,
+    centred, to the next of `_window_sizes` (the whole grid, which is not
+    guarded, at the top), and the row joins that size's group, whose turn
+    in the pass is still to come: it makes the pass's linear step there
+    with the group, and may grow again. Each row makes each pass once, and
+    rows never mix: each comes out bit for bit as it would in a batch of
+    one.
 
     The transforms are numpy.fft, which is pocketfft: the kernels are the
     same bits as with the pocketfft they used before. Each writes into its
@@ -276,6 +274,7 @@ def _split_step(
     """
     n = grid.n_samples
     dz = fiber.length / steps
+    gamma_dz = gamma * dz
     # |half|^2 is this uniform factor: only loss changes the energy.
     half_loss = math.exp(-0.5 * fiber.alpha * dz)
     windows = np.asarray(windows)
@@ -297,29 +296,21 @@ def _split_step(
 
     def grow(g: _Window, leave: np.ndarray, k: int) -> None:
         into = group(sizes[sizes.index(g.m) + 1])
-        rows, a, gamma_dz = g.take(leave)
+        rows, a = g.take(leave)
         np.fft.fft(a, out=a)
         a /= linear(g, k)
         padded = np.zeros((rows.size, into.m), dtype=np.complex128)
         start = g.lo - into.lo
         padded[:, start : start + g.m] = np.fft.ifft(a, out=a)
-        a = np.fft.fft(padded, out=padded)
-        a *= linear(into, k)
-        into.join(rows, np.fft.ifft(a, out=a), gamma_dz)
+        into.join(rows, padded)
 
     for m in sorted(set(windows.tolist())):
         rows = np.flatnonzero(windows == m)
-        g = group(m)
         a = np.stack([launch[r] for r in rows])
         sums[rows, 0] = (np.abs(a) ** 2).sum(axis=-1)
-        g.join(rows, a, gamma_pump[rows] * dz)
+        group(m).join(rows, a)
 
     for k in range(steps + 1):
-        for g in groups.values():
-            if g.rows.size:
-                np.fft.fft(g.a, out=g.a)
-                g.a *= linear(g, k)
-                np.fft.ifft(g.a, out=g.a)
         bound = GROWTH_MASS_BOUND if k < steps else WINDOW_MASS_BOUND
         # Pump offset at the slice midpoint, in the signal frame, for delay 0.
         shift = fiber.walkoff * ((k + 0.5) * dz - 0.5 * fiber.length) / grid.dt
@@ -327,13 +318,16 @@ def _split_step(
             g = groups.get(m)
             if g is None or not g.rows.size:
                 continue
+            np.fft.fft(g.a, out=g.a)
+            g.a *= linear(g, k)
+            np.fft.ifft(g.a, out=g.a)
             np.abs(g.a, out=g.intensity)
             g.intensity *= g.intensity
             total = g.intensity.sum(axis=-1)
             if m < n:
                 leave = ~(_edge_mass(g.intensity) <= bound * total)
                 if leave.any():
-                    # The rows that grow are summed again on their new window.
+                    # The rows that grow make this pass on their new window.
                     grow(g, leave, k)
                     if not g.rows.size:
                         continue
@@ -342,7 +336,7 @@ def _split_step(
                 sums[g.rows, k] = total
             if k == steps:
                 continue
-            np.multiply(g.intensity, g.gamma_dz, out=g.work)
+            np.multiply(g.intensity, gamma_dz, out=g.work)
             np.cos(g.work, out=g.rotation.real)
             np.sin(g.work, out=g.rotation.imag)
             g.a *= g.rotation
@@ -392,29 +386,31 @@ def compute_xpm_kernels(
     `XpmKernel`); the output pump is stored on its final window.
 
     `pumps` is read once, one pump at a time: each is kept only as a copy of
-    its launch window and its wavelength, so a batch read from a generator
-    holds no pump past the one it is reading. All pumps then run through
-    one split-step call, grouped by their current window size; a pump's
-    kernel is bit for bit the same whatever else is in the batch.
+    its launch window, so a batch read from a generator holds no pump past
+    the one it is reading. All pumps then run through one split-step call
+    with one Kerr coefficient, grouped by their current window size; a
+    pump's kernel is bit for bit the same whatever else is in the batch.
 
     Raises:
         GridMismatch: if the pumps are sampled on different grids.
+        ValidationError: if the pumps have different centre wavelengths.
     """
     if steps < 8:
         raise ValidationError("steps must be >= 8")
-    grid = None
-    launch, windows, wavelengths = [], [], []
+    grid = wavelength = None
+    launch, windows = [], []
     for p in pumps:
         if grid is None:
-            grid = p.grid
+            grid, wavelength = p.grid, p.center_wavelength
         elif p.grid != grid:
             raise GridMismatch("pumps must share one time grid")
+        elif p.center_wavelength != wavelength:
+            raise ValidationError("pumps must share one centre wavelength")
         intensity = np.abs(p.samples) ** 2
         m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
         lo = (grid.n_samples - m) // 2
         launch.append(p.samples[lo : lo + m].copy())
         windows.append(m)
-        wavelengths.append(p.center_wavelength)
     if grid is None:
         return []
     n = grid.n_samples
@@ -422,15 +418,13 @@ def compute_xpm_kernels(
     xpm_coef = XPM_DIFFERENTIAL_FACTOR * nonlinear_coefficient(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
-    gamma = np.array(
-        [[nonlinear_coefficient(fiber.n2, wl, fiber.a_eff)] for wl in wavelengths]
-    )
+    gamma = nonlinear_coefficient(fiber.n2, wavelength, fiber.a_eff)
     windows, fields, phase, step_energy = _split_step(
         launch, windows, grid, fiber, steps, gamma
     )
     axis = _grid_axis(grid)
     kernels = []
-    for r, (wavelength, m, a) in enumerate(zip(wavelengths, windows, fields)):
+    for r, (m, a) in enumerate(zip(windows, fields)):
         nonzero = np.flatnonzero(phase[r])
         if not nonzero.size:  # no pump energy or no Kerr effect
             nonzero = np.array([n // 2])

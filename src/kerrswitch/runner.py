@@ -23,9 +23,9 @@ from . import __version__
 from .config_io import config_hash, emit_config
 from .core import ExperimentConfig, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, ValidationError
-# `binomial_split`, `propagate` and `pump_output_spectrum` are no longer
-# called here; perfbench's tracer wraps them under this module's name, so the
-# bindings stay.
+# `binomial_split`, `make_gaussian_pulse`, `propagate` and
+# `pump_output_spectrum` are no longer called here; perfbench's tracer wraps
+# them under this module's name, so the bindings stay.
 from .photons import binomial_split, binomial_splits, monte_carlo_experiment
 from .propagation import (
     clip_spectrum_support,
@@ -34,6 +34,7 @@ from .propagation import (
     pump_spectrum,
 )
 from .switch import (
+    _make_signal,
     calibrate_pi_energy,
     check_convergence,
     efficiency_vs_delay,
@@ -308,13 +309,7 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
     # polarization components, not amplitude on the scalar envelope, and the
     # signal's own propagation never sees the pump, so both ports carry the
     # same histogram: the signal after the fiber's dispersion and loss.
-    signal_in = make_gaussian_pulse(
-        config.grid,
-        config.signal.center_wavelength,
-        config.signal.fwhm_duration,
-        1.0e-18,
-    )
-    signal_out = propagate_signal_linear(signal_in, config.fiber)
+    signal_out = propagate_signal_linear(_make_signal(config), config.fiber)
     wl_nm, density = clip_spectrum_support(*pump_spectrum(signal_out))
     span = abs(config.tof.dispersion) * (wl_nm[-1] - wl_nm[0]) * 1e-9
     centers, hist = spectrum_to_histogram(

@@ -793,15 +793,39 @@ class TestKernelBatch:
         self.assert_same(batch[row], self._kernel(pumps[row]))
 
     def test_row_ignores_the_other_rows(self, pumps, batch):
-        cfg = ks.default_config()
-        # Another pump wavelength: its row has its own Kerr coefficient.
-        other_colour = ks.make_gaussian_pulse(cfg.grid, 1060e-9, cfg.pump.fwhm_duration, 5e-9)
         others = _batch_pumps([12e-9, 3e-9]) + _batch_pumps([5e-9], delay=-15e-12)
-        mixed = self._kernels([others[0], pumps[1], other_colour, pumps[2], others[2]])
+        mixed = self._kernels([others[0], pumps[1], pumps[2], others[2]])
         self.assert_same(mixed[1], batch[1])
-        self.assert_same(mixed[3], batch[2])
-        self.assert_same(mixed[2], self._kernel(other_colour))
-        assert mixed[2].pump_final.center_wavelength == 1060e-9
+        self.assert_same(mixed[2], batch[2])
+        # A lone pump at another wavelength runs with its own Kerr
+        # coefficient: the 8 nJ field at 1060 nm ends unlike at 1030 nm.
+        cfg = ks.default_config()
+        other_colour = ks.make_gaussian_pulse(cfg.grid, 1060e-9, cfg.pump.fwhm_duration, 8e-9)
+        assert np.array_equal(other_colour.samples, pumps[1].samples)
+        lone = self._kernel(other_colour)
+        assert lone.pump_final.center_wavelength == 1060e-9
+        assert not np.array_equal(lone.pump_window, batch[1].pump_window)
+
+    def test_row_grows_into_a_group_that_holds_rows(self, pumps):
+        """The 8 nJ row grows into windows that the 12 nJ row, grown before
+        it, still holds. It joins that group in the pass it grows in and makes
+        that pass's linear step with it; both rows come out as alone."""
+        mixed = [pumps[1]] + _batch_pumps([12e-9])
+        joins = []
+        join = ks.propagation._Window.join
+
+        def recording_join(window, rows, a):
+            if window.rows.size:
+                joins.append((window.m, rows.tolist()))
+            return join(window, rows, a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ks.propagation._Window, "join", recording_join)
+            batch = self._kernels(mixed)
+        assert joins == [(1024, [0]), (1536, [0]), (2048, [0]), (3072, [0])]
+        assert [k.window_samples for k in batch] == [3072, 4096]
+        for got, pump in zip(batch, mixed):
+            self.assert_same(got, self._kernel(pump))
 
     def test_rows_that_grow_around_one_that_does_not(self, pumps):
         """The 12 and 8 nJ rows leave the 768-sample group and share a
@@ -829,12 +853,21 @@ class TestKernelBatch:
         assert self._kernels(p for p in []) == []
 
     def test_pumps_on_two_grids_rejected(self):
+        """Pumps on another grid, or at another wavelength, are refused in a
+        list and from a generator: one batch has one grid and one Kerr
+        coefficient."""
         other = ks.make_gaussian_pulse(ks.TimeGrid(n_samples=1024, window=20e-12),
                                        PUMP_WL, 180e-15, 1e-9)
         with pytest.raises(GridMismatch):
             self._kernels(_batch_pumps([1e-9]) + [other])
         with pytest.raises(GridMismatch):
             self._kernels(p for p in _batch_pumps([1e-9]) + [other])
+        cfg = ks.default_config()
+        other_colour = ks.make_gaussian_pulse(cfg.grid, 1060e-9, cfg.pump.fwhm_duration, 1e-9)
+        with pytest.raises(ValidationError, match="one centre wavelength"):
+            self._kernels(_batch_pumps([1e-9]) + [other_colour])
+        with pytest.raises(ValidationError, match="one centre wavelength"):
+            self._kernels(p for p in _batch_pumps([1e-9]) + [other_colour])
 
     def test_generator_keeps_no_pump_alive(self, pumps, batch):
         """A generator's pumps give the list's kernels. The batch holds no
