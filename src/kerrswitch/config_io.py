@@ -18,7 +18,6 @@ means adding one row (and the field to its section's dataclass in `core`).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -29,6 +28,16 @@ from collections import namedtuple
 
 from .core import ExperimentConfig
 from .errors import ParseError
+
+# CPython's own SHA-256: `import hashlib` loads `_hashlib`, which maps
+# OpenSSL's libcrypto (about 4 MB of RSS) for the same digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Each bench unit is a power of ten of its SI unit; these are the exponents.
 _NJ = -9
@@ -263,7 +272,11 @@ def emit_config(config: ExperimentConfig) -> str:
     return re.sub(r'"(-?\d[^"]*)"', r"\1", text) + "\n"
 
 
+def text_hash(text: str) -> str:
+    """64-bit content hash of a serialized config document, as hex."""
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def config_hash(config: ExperimentConfig) -> str:
     """64-bit content hash of the canonical serialized config, as hex."""
-    digest = hashlib.sha256(emit_config(config).encode("utf-8")).hexdigest()
-    return digest[:16]
+    return text_hash(emit_config(config))

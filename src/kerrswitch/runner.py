@@ -5,7 +5,8 @@ manifest.json describing the run. CSV files use '.' decimals, a mandatory
 header row (quoted RFC-style by csv.writer), and a newline-terminated final
 row; numbers are formatted with %.12g so reruns are byte-identical. A table
 is written in blocks of rows, each row through one format string built from
-the table's first row; its labels are program constants that need no quoting.
+the table's first row; its labels are program constants, or numbers already
+formatted with %.12g, that need no quoting.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config_io import config_hash, emit_config
+from .config_io import emit_config, text_hash
 from .core import ExperimentConfig, make_gaussian_pulse
 from .errors import EmptySpan, NoBracket, NoCrossing, ValidationError
 # `binomial_split`, `make_gaussian_pulse`, `propagate` and
@@ -127,8 +128,9 @@ class _Run:
         self.entries.append(ManifestEntry(name=name, path=str(path), rows=rows, bytes=size))
 
     def finish(self) -> RunManifest:
+        config_text = emit_config(self.config)
         manifest = RunManifest(
-            config_hash=config_hash(self.config),
+            config_hash=text_hash(config_text),
             tool_version=__version__,
             started_at=self.started,
             finished_at=_now(),
@@ -136,7 +138,7 @@ class _Run:
         )
         text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
         (self.out_dir / "manifest.json").write_text(text)
-        (self.out_dir / "config.json").write_text(emit_config(self.config))
+        (self.out_dir / "config.json").write_text(config_text)
         return manifest
 
 
@@ -263,17 +265,21 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
         for kind, n, p, err in curves
         for k in range(n + 1)
     ]
-    rows = (
-        [tau, n, k, n - k, pk, ek, kind]
-        for kind, n, p, err in curves
-        for k in range(n + 1)
-        for tau, pk, ek in zip(delays / _PS, p[:, k], err[:, k])
-    )
+    # The delay and (N, n_S, n_U) columns repeat, so each is formatted once
+    # and a row carries them as one label; only its two numbers are formatted.
+    taus = [_fmt(tau) for tau in (delays / _PS).tolist()]
+
+    def rows():
+        for kind, n, p, err in curves:
+            for k in range(n + 1):
+                counts = ",".join(map(_fmt, (n, k, n - k)))
+                for tau, pk, ek in zip(taus, p[:, k].tolist(), err[:, k].tolist()):
+                    yield (f"{tau},{counts}", pk, ek, kind)
 
     run.write_csv(
         "fock_probs.csv",
         ["delay_ps", "N", "n_S", "n_U", "probability", "stderr", "kind"],
-        rows,
+        rows(),
     )
     run.write_json(
         "fock_probs.json",
@@ -299,8 +305,10 @@ def cmd_spectrum(config: ExperimentConfig, out_dir) -> RunManifest:
         # is taken and its clipped rows are written.
         for e, (wl, density) in zip(energies, pump_output_spectra(config, energies)):
             metric_rows.append([e / _NJ, full_width(wl, density, 0.5)])
-            for w, d in zip(*clip_spectrum_support(wl, density)):
-                yield [e / _NJ, w, d]
+            energy = _fmt(e / _NJ)
+            clipped_wl, clipped_density = clip_spectrum_support(wl, density)
+            for w, d in zip(clipped_wl.tolist(), clipped_density.tolist()):
+                yield (energy, w, d)
 
     run.write_csv("pump_spectra.csv", ["energy_nJ", "wavelength_nm", "density_per_nm"], spectra_rows())
     run.write_csv("spectrum_metrics.csv", ["energy_nJ", "fwhm_nm"], metric_rows)

@@ -482,7 +482,12 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
     module is loaded after importing the CLI and validating a config, nor
     after a calibrate and a sweep. Nor does any command need numpy.ma: after
     a calibrate, a sweep, a fock and a spectrum, no module numpy.ma or
-    numpy.ma.* is loaded (numpy.matrixlib is another package)."""
+    numpy.ma.* is loaded (numpy.matrixlib is another package).
+
+    The config hash is CPython's own SHA-256, so until `fock` runs neither
+    `_hashlib` nor `ssl` is loaded: OpenSSL's libcrypto is never mapped.
+    `fock` comes last, as its Monte Carlo imports numpy.random, which
+    imports secrets, hmac and so `_hashlib`; that import is numpy's."""
     doc = {
         "grid": {"n_samples": 1024, "window_ps": 40.0},
         "solver": {"steps": 16},
@@ -497,8 +502,9 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
         "assert main(['validate-config']) == 0; print(scipy()); "
         "assert main(['calibrate', '--config', cfg, '--out', out + '/cal']) == 0; "
         "assert main(['sweep', '--config', cfg, '--out', out + '/sweep']) == 0; "
-        "assert main(['fock', '--config', cfg, '--out', out + '/fock']) == 0; "
         "assert main(['spectrum', '--config', cfg, '--out', out + '/spectrum']) == 0; "
+        "print(sorted(m for m in ('_hashlib', 'ssl') if m in sys.modules)); "
+        "assert main(['fock', '--config', cfg, '--out', out + '/fock']) == 0; "
         "print(scipy()); "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
@@ -511,7 +517,7 @@ def test_calibrate_and_sweep_load_no_scipy(tmp_path):
         check=True,
     )
     lines = out.stdout.splitlines()
-    assert [line for line in lines if line.startswith("[")] == ["[]", "[]", "[]"]
+    assert [line for line in lines if line.startswith("[")] == ["[]", "[]", "[]", "[]"]
     for name in ("cal/calibration.json", "sweep/surface.csv", "fock/fock_probs.csv", "spectrum/signal_tof.csv"):
         assert (tmp_path / name).exists()
 

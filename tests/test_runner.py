@@ -1,14 +1,16 @@
 """`runner._Run.write_csv`: the bulk writer gives the bytes and manifest row
-counts of csv.writer fed one `_fmt`-formatted value at a time."""
+counts of csv.writer fed one `_fmt`-formatted value at a time; and the
+commands' pre-formatted label columns give the bytes of their plain rows."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 import kerrswitch as ks
-from kerrswitch import runner
+from kerrswitch import runner, switch
 
 
 def _reference_csv(path, header, rows):
@@ -103,3 +105,50 @@ def test_fock_csv_bytes_do_not_depend_on_the_block(block, fock_csv, tmp_path, mo
     ks.cmd_fock(ks.default_config(), tmp_path)
     assert fock_csv.count(b"\n") == 6535
     assert (tmp_path / "fock_probs.csv").read_bytes() == fock_csv
+
+
+@pytest.fixture(scope="module")
+def small_cfg():
+    return ks.parse_config(json.dumps({
+        "grid": {"n_samples": 1024, "window_ps": 40.0},
+        "solver": {"steps": 16},
+        "sweep": {
+            "energies_nj": [0.0, 4.0, 7.123456789012345, 12.0],
+            "delays_ps": [-1.0, -0.123456789012345, 0.0, 0.3, 1.0],
+        },
+        "monte_carlo": {"pulses_per_delay": 500},
+    }))
+
+
+def test_fock_csv_equals_its_seven_column_rows(small_cfg, tmp_path):
+    """fock_probs.csv, whose delay and (N, n_S, n_U) columns are formatted
+    once, is the file that one 7-column row per value gives."""
+    ks.cmd_fock(small_cfg, tmp_path / "cmd")
+    doc = json.loads((tmp_path / "cmd" / "fock_probs.json").read_text())
+    rows = [
+        [tau, c["N"], c["n_S"], c["n_U"], p, err, c["kind"]]
+        for c in doc["curves"]
+        for tau, p, err in zip(doc["delays_ps"], c["probability"], c["stderr"])
+    ]
+    header = ["delay_ps", "N", "n_S", "n_U", "probability", "stderr", "kind"]
+    runner._Run(small_cfg, tmp_path / "ref").write_csv("fock_probs.csv", header, rows)
+    expected = (tmp_path / "ref" / "fock_probs.csv").read_bytes()
+    assert expected.count(b"\n") == 1 + 5 * 2 * sum(n + 1 for n in range(1, 7))
+    assert (tmp_path / "cmd" / "fock_probs.csv").read_bytes() == expected
+
+
+def test_pump_spectra_csv_equals_its_three_column_rows(small_cfg, tmp_path):
+    """pump_spectra.csv, whose energy column is formatted once per rung, is
+    the file that one 3-column row per clipped spectrum sample gives."""
+    ks.cmd_spectrum(small_cfg, tmp_path / "cmd")
+    energies = np.asarray(small_cfg.sweep.energies)
+    rows = [
+        [e / runner._NJ, w, d]
+        for e, spectrum in zip(energies, switch.pump_output_spectra(small_cfg, energies))
+        for w, d in zip(*runner.clip_spectrum_support(*spectrum))
+    ]
+    header = ["energy_nJ", "wavelength_nm", "density_per_nm"]
+    runner._Run(small_cfg, tmp_path / "ref").write_csv("pump_spectra.csv", header, rows)
+    expected = (tmp_path / "ref" / "pump_spectra.csv").read_bytes()
+    assert expected.count(b"\n") > 1 + len(energies)
+    assert (tmp_path / "cmd" / "pump_spectra.csv").read_bytes() == expected
