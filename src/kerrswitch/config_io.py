@@ -28,6 +28,7 @@ from collections import namedtuple
 
 from .core import ExperimentConfig
 from .errors import ParseError
+from .photons import _check_noise_totals
 
 # CPython's own SHA-256: `import hashlib` loads `_hashlib`, which maps
 # OpenSSL's libcrypto (about 4 MB of RSS) for the same digest.
@@ -211,7 +212,8 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
 
     Raises:
         ParseError: malformed JSON, wrong value type, or unknown key (strict).
-        ValidationError: a field violates its physical invariant.
+        ValidationError: a field violates its physical invariant, or the
+            Monte Carlo's pulse count could overflow its int64 noise totals.
     """
     if text.strip() == "":
         given: dict = {}
@@ -226,8 +228,9 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
             raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(given, dict):
         raise ParseError("config document must be a JSON object")
-    doc = _merge(DEFAULT_DOCUMENT, given, "", strict)
-    return _build(doc)
+    config = _build(_merge(DEFAULT_DOCUMENT, given, "", strict))
+    _check_noise_totals(config.detectors, config.monte_carlo.pulses_per_delay)
+    return config
 
 
 def default_config() -> ExperimentConfig:

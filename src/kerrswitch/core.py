@@ -96,18 +96,25 @@ def _check_fits(fwhm: float, window: float, name: str = "fwhm") -> None:
         )
 
 
+def _pulse_shape(grid, fwhm, delay, order):
+    """(intensity, raw): the intensity shape exp(-ln2*(2x)^(2*order)),
+    x = (t - delay)/fwhm, on `grid`, and its discrete energy sum * dt. A
+    pulse of energy E > 0 has the samples sqrt(intensity * (E / raw))."""
+    x = (grid.times - delay) / fwhm
+    intensity = np.exp(-math.log(2.0) * (2.0 * x) ** (2 * order))
+    return intensity, np.sum(intensity) * grid.dt
+
+
 def _shaped_pulse(grid, center_wavelength, fwhm, pulse_energy, delay, order):
     if not (fwhm > 0.0):
         raise ValidationError("fwhm must be positive")
     _check_fits(fwhm, grid.window)
     if pulse_energy < 0.0:
         raise NegativeEnergy("pulse energy must be non-negative")
-    x = (grid.times - delay) / fwhm
     if pulse_energy == 0.0:
         samples = np.zeros(grid.n_samples, dtype=np.complex128)
     else:
-        intensity = np.exp(-math.log(2.0) * (2.0 * x) ** (2 * order))
-        raw = np.sum(intensity) * grid.dt
+        intensity, raw = _pulse_shape(grid, fwhm, delay, order)
         samples = np.sqrt(intensity * (pulse_energy / raw)).astype(np.complex128)
     return PulseEnvelope(grid=grid, center_wavelength=center_wavelength, samples=samples)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExperimentConfig
+from .core import DetectorConfig, ExperimentConfig
 from .errors import CutoffTooSmall, NoCoincidences, ValidationError, ZeroNoise
 
 _NOISE_TAIL = 1e-13  # largest Poisson tail mass the noise grid may drop
@@ -252,10 +252,21 @@ def _poisson_pmf(mean: float, counts: np.ndarray) -> np.ndarray:
     return np.exp(counts * math.log(mean) - mean - log_factorial)
 
 
+def _noise_means(det: DetectorConfig) -> tuple[float, float]:
+    """Mean switched and unswitched noise counts per detection window."""
+    return (det.noise_per_pulse_switched * det.noise_window_multiplier,
+            det.noise_per_pulse_unswitched * det.noise_window_multiplier)
+
+
+def _noise_far(mean: float) -> int:
+    """Length of the count range `_noise_totals` searches; its T is below it."""
+    return int(math.ceil(mean + 40.0 * math.sqrt(mean))) + 40
+
+
 def _noise_totals(mean: float) -> np.ndarray:
     """Poisson pmf of the total noise count over 0..T, where T is the smallest
     count whose upper tail P(count > T) is at most _NOISE_TAIL."""
-    far = int(math.ceil(mean + 40.0 * math.sqrt(mean))) + 40
+    far = _noise_far(mean)
     pmf = _poisson_pmf(mean, np.arange(far + 1))
     at_least = np.cumsum(pmf[::-1])[::-1]  # at_least[t] = P(count >= t)
     top = int(np.argmax(at_least[1:] <= _NOISE_TAIL))
@@ -274,8 +285,7 @@ def _outcome_cells(config: ExperimentConfig, n_max: int, etas):
     t = 0..T, which holds every remaining outcome with t noise counts.
     """
     det = config.detectors
-    mean_s = det.noise_per_pulse_switched * det.noise_window_multiplier
-    mean_u = det.noise_per_pulse_unswitched * det.noise_window_multiplier
+    mean_s, mean_u = _noise_means(det)
 
     # P(h heralds, s photons at the switch) for h, s <= n_max; numbers past
     # the source cutoff have probability 0.
@@ -310,6 +320,31 @@ def _outcome_cells(config: ExperimentConfig, n_max: int, etas):
     return n, a, b, k, probs
 
 
+def _check_noise_totals(det: DetectorConfig, pulses: int) -> None:
+    """Raise ValidationError if `pulses` pulses could overflow the int64
+    noise totals of `monte_carlo_experiment`: a delay's total is at most
+    pulses times T, the top count of the noise grid (`_noise_totals`).
+
+    It depends on the config alone, so `parse_config` runs it too. T lies
+    in [floor(mean) - 1, `_noise_far`(mean)) (a Poisson count reaches its
+    median, which is above mean - 1, with probability at least 1/2), so the
+    grid is built only when those bounds leave the answer open, and a large
+    mean costs no grid.
+    """
+    mean = sum(_noise_means(det))
+    if not math.isfinite(mean) or pulses * (math.floor(mean) - 1) >= 2**63:
+        raise ValidationError(
+            f"{pulses} pulses x {mean:g} mean noise counts per pulse overflow int64 noise totals"
+        )
+    if pulses * _noise_far(mean) < 2**63:
+        return
+    top = _noise_totals(mean).size - 1
+    if pulses * top >= 2**63:
+        raise ValidationError(
+            f"{pulses} pulses x {top} noise counts per pulse overflow int64 noise totals"
+        )
+
+
 def monte_carlo_experiment(
     config: ExperimentConfig,
     eta_of_delay,
@@ -336,16 +371,11 @@ def monte_carlo_experiment(
         raise ValidationError("pulses must be >= 1")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    # Noise counts are summed and binomially split in int64.
+    _check_noise_totals(config.detectors, pulses)
     delays = np.asarray(config.sweep.delays, dtype=float)
     etas = [float(eta_of_delay(float(tau))) for tau in delays]
     n, a, b, k, probs = _outcome_cells(config, n_max, etas)
-    # Noise counts are summed and binomially split in int64; a delay's total
-    # is at most pulses times the noise grid's top count.
-    top = probs.shape[1] - n.size - 1
-    if pulses * top >= 2**63:
-        raise ValidationError(
-            f"{pulses} pulses x {top} noise counts per pulse overflow int64 noise totals"
-        )
     det = config.detectors
     mean_noise = det.noise_per_pulse_switched + det.noise_per_pulse_unswitched
     share = det.noise_per_pulse_switched / mean_noise if mean_noise > 0.0 else 0.0

@@ -191,7 +191,11 @@ def _launch_window(launch: np.ndarray, bound: float) -> int:
 
 class _Window:
     """The rows of one `_split_step` call that currently run on the same
-    centred window of `m` samples: their indices, fields and work buffers."""
+    centred window of `m` samples: their indices and fields, and two work
+    buffers, 40 bytes per sample with the field. `intensity` holds |a|^2,
+    contiguous. `rotation` holds the Kerr step's exp(i*angle); its real
+    part takes the angle first and its imaginary part is `_add_shifted`'s
+    scratch after the step."""
 
     def __init__(self, grid: TimeGrid, m: int, fiber: FiberSpec, dz: float):
         n = grid.n_samples
@@ -209,7 +213,6 @@ class _Window:
     def _set(self, rows: np.ndarray, a: np.ndarray) -> None:
         self.rows, self.a = rows, a
         self.intensity = np.empty(a.shape)
-        self.work = np.empty(a.shape)
         self.rotation = np.empty(a.shape, dtype=np.complex128)
 
     def join(self, rows: np.ndarray, a: np.ndarray) -> None:
@@ -228,7 +231,7 @@ class _Window:
 
 
 def _split_step(
-    launch: Sequence[np.ndarray],
+    launch: list[np.ndarray],
     windows: Sequence[int],
     grid: TimeGrid,
     fiber: FiberSpec,
@@ -238,7 +241,9 @@ def _split_step(
     """Propagate the time-domain pumps `launch` over `steps` slices, all
     rows in lockstep with the Kerr coefficient `gamma`. Row r starts on the
     centred window of ``windows[r]`` samples of `grid`, and ``launch[r]`` is
-    its launch field on that window.
+    its launch field on that window. The fields are copied into their
+    window groups and `launch` is emptied, so no launch copy lives through
+    the passes.
 
     One loop makes passes k = 0..steps. In each pass the rows that share a
     window size run together, one group at a time, smallest size first.
@@ -260,7 +265,10 @@ def _split_step(
 
     The transforms are numpy.fft, which is pocketfft: the kernels are the
     same bits as with the pocketfft they used before. Each writes into its
-    input (``out=``), so a slice allocates no field.
+    input (``out=``), so a slice allocates no field. The Kerr step writes
+    the angle gamma*dz*|a|^2 into ``rotation.real``, sin of it into
+    ``rotation.imag`` and then cos over the angle in place, so a window
+    sample holds three arrays: the field, `intensity` and `rotation`.
 
     Returns each row's final window size and its output field on that
     window, a ``(b, n_samples)`` array whose row r sums row r's walked-off
@@ -309,6 +317,7 @@ def _split_step(
         a = np.stack([launch[r] for r in rows])
         sums[rows, 0] = (np.abs(a) ** 2).sum(axis=-1)
         group(m).join(rows, a)
+    launch.clear()
 
     for k in range(steps + 1):
         bound = GROWTH_MASS_BOUND if k < steps else WINDOW_MASS_BOUND
@@ -336,11 +345,12 @@ def _split_step(
                 sums[g.rows, k] = total
             if k == steps:
                 continue
-            np.multiply(g.intensity, gamma_dz, out=g.work)
-            np.cos(g.work, out=g.rotation.real)
-            np.sin(g.work, out=g.rotation.imag)
+            angle = g.rotation.real
+            np.multiply(g.intensity, gamma_dz, out=angle)
+            np.sin(angle, out=g.rotation.imag)
+            np.cos(angle, out=angle)
             g.a *= g.rotation
-            _add_shifted(phase, g.intensity, shift, g.work, g.lo, g.rows)
+            _add_shifted(phase, g.intensity, shift, g.rotation.imag, g.lo, g.rows)
 
     out_windows = [0] * windows.size
     fields = [None] * windows.size
@@ -387,16 +397,17 @@ def compute_xpm_kernels(
 
     `pumps` is read once, one pump at a time: each is kept only as a copy of
     its launch window, so a batch read from a generator holds no pump past
-    the one it is reading. All pumps then run through one split-step call
-    with one Kerr coefficient, grouped by their current window size; a
-    pump's kernel is bit for bit the same whatever else is in the batch.
+    the one it is reading. The copies go to `_kernel_batch`, whose
+    split-step drops them once its window groups hold the fields: all pumps
+    run through one split-step call with one Kerr coefficient, grouped by
+    their current window size, and a pump's kernel is bit for bit the same
+    whatever else is in the batch.
 
     Raises:
         GridMismatch: if the pumps are sampled on different grids.
-        ValidationError: if the pumps have different centre wavelengths.
+        ValidationError: if the pumps have different centre wavelengths,
+            or `steps` is below 8.
     """
-    if steps < 8:
-        raise ValidationError("steps must be >= 8")
     grid = wavelength = None
     launch, windows = [], []
     for p in pumps:
@@ -411,7 +422,30 @@ def compute_xpm_kernels(
         lo = (grid.n_samples - m) // 2
         launch.append(p.samples[lo : lo + m].copy())
         windows.append(m)
-    if grid is None:
+    return _kernel_batch(launch, windows, grid, wavelength, fiber, steps, signal_wavelength)
+
+
+def _kernel_batch(
+    launch: list[np.ndarray],
+    windows: Sequence[int],
+    grid: TimeGrid,
+    wavelength: float,
+    fiber: FiberSpec,
+    steps: int,
+    signal_wavelength: float,
+) -> list[XpmKernel]:
+    """The kernels of the pumps at `wavelength` whose launch fields are
+    ``launch[r]`` on the centred windows of ``windows[r]`` samples of
+    `grid`, each window the one `_launch_window` gives the pump; one kernel
+    per field, in order, as `compute_xpm_kernels` describes. `launch` is
+    emptied once the split-step's window groups are seeded.
+
+    Raises:
+        ValidationError: if `steps` is below 8.
+    """
+    if steps < 8:
+        raise ValidationError("steps must be >= 8")
+    if not launch:
         return []
     n = grid.n_samples
     dz = fiber.length / steps

@@ -11,17 +11,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ExperimentConfig, PulseEnvelope, make_gaussian_pulse
-from .errors import EmptySpan, NoBracket, NoCrossing, NonConvergence, ValidationError
+from .core import ExperimentConfig, PulseEnvelope, _pulse_shape, make_gaussian_pulse
+from .errors import (
+    EmptySpan,
+    NegativeEnergy,
+    NoBracket,
+    NoCrossing,
+    NonConvergence,
+    ValidationError,
+)
 # `compute_xpm_kernel` and `sample_xpm_phase` are not called here (kernels
-# come from `compute_xpm_kernels`, phases from `_DelayedPhase`); perfbench's
+# come from `_kernel_batch`, phases from `_DelayedPhase`); perfbench's
 # tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
     _DelayedPhase,
+    _kernel_batch,
+    _launch_window,
     compute_xpm_kernel,
-    compute_xpm_kernels,
     propagate_signal_linear,
     pump_spectrum,
     sample_xpm_phase,
@@ -74,6 +82,50 @@ def _make_signal(config: ExperimentConfig) -> PulseEnvelope:
     )
 
 
+@lru_cache(maxsize=16)
+def _pump_shape(config: ExperimentConfig) -> tuple[np.ndarray, float, int]:
+    """(shape, raw, m): the pump's intensity shape on its launch window of
+    `m` samples, centred in ``config.grid``, and the discrete energy `raw`
+    of the whole-grid shape (see `core._pulse_shape`).
+
+    The pump at energy E has the samples sqrt(shape * (E / raw)) there, the
+    same bits as the window of `_make_pump`'s pulse. `m` is the
+    `_launch_window` of the whole-grid shape. That of a pulse at energy E
+    searches |samples|^2 instead, each sample within an ulp or two of
+    shape * (E / raw), so the two could part only for a pump whose energy
+    outside a window, or in its outer 1/16, lies within an ulp of the bound.
+    `shape` is read-only and shared by every call with `config`.
+    """
+    grid = config.grid
+    intensity, raw = _pulse_shape(grid, config.pump.fwhm_duration, 0.0, 1)
+    m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
+    lo = (grid.n_samples - m) // 2
+    shape = intensity[lo : lo + m].copy()
+    shape.flags.writeable = False
+    return shape, raw, m
+
+
+def _launch_fields(config: ExperimentConfig, energies: list[float]) -> list[np.ndarray]:
+    """The launch field of the pump at each of `energies` (each > 0) on its
+    `_pump_shape` window: the window of `_make_pump`'s pulse, bit for bit,
+    without building the pulse on the whole grid.
+
+    Raises:
+        NegativeEnergy: if an energy is negative.
+        ValidationError: if a field is not finite.
+    """
+    shape, raw, _ = _pump_shape(config)
+    fields = []
+    for e in energies:
+        if e < 0.0:
+            raise NegativeEnergy("pulse energy must be non-negative")
+        a = np.sqrt(shape * (e / raw)).astype(np.complex128)
+        if not np.all(np.isfinite(a.view(np.float64))):
+            raise ValidationError("envelope samples must be finite")
+        fields.append(a)
+    return fields
+
+
 # Pump kernels by (config, pump energy, steps), least recently used first.
 _KERNEL_CACHE_SIZE = 64
 _kernel_cache: OrderedDict[tuple[ExperimentConfig, float, int], XpmKernel] = OrderedDict()
@@ -86,10 +138,10 @@ def _kernels(
     each of `energies` in order, None at zero energy.
 
     The energies are taken in blocks of `_KERNEL_CACHE_SIZE`. The kernels a
-    block lacks in the cache are computed as one `compute_xpm_kernels` batch,
-    whose pumps are made one at a time as it reads them, then cached. The
-    cache keeps the `_KERNEL_CACHE_SIZE` most recently used kernels, so a
-    ladder of any length holds at most one block of them.
+    block lacks in the cache are computed as one `_kernel_batch`, from
+    launch fields built on the pump's launch window alone (`_launch_fields`),
+    then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently used
+    kernels, so a ladder of any length holds at most one block of them.
     """
     steps = config.solver.steps if steps is None else steps
     energies = [float(e) for e in energies]
@@ -98,9 +150,14 @@ def _kernels(
         keys = [(config, e, steps) for e in block if e != 0.0]
         missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
         if missing:
-            pumps = (_make_pump(config, e) for _, e, _ in missing)
-            computed = compute_xpm_kernels(
-                pumps, config.fiber, steps, config.signal.center_wavelength
+            computed = _kernel_batch(
+                _launch_fields(config, [e for _, e, _ in missing]),
+                [_pump_shape(config)[2]] * len(missing),
+                config.grid,
+                config.pump.center_wavelength,
+                config.fiber,
+                steps,
+                config.signal.center_wavelength,
             )
             _kernel_cache.update(zip(missing, computed))
         for key in keys:

@@ -97,21 +97,21 @@ class TestCmdSweep:
 def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path, cold_kernel_cache):
     """Sweep rows, calibration, slices and the convergence check share one
     kernel cache: no (energy, steps) pump kernel is computed twice, in the
-    same batch or in two, and the surface's kernels come as one batch."""
+    same batch or in two, and the surface's kernels come as one batch. A
+    pump is told by its launch field's bytes, which its energy sets."""
     doc = dict(SMALL_DOC, sweep={
         "energies_nj": [float(e) for e in range(17)],
         "delays_ps": [round(-4.0 + 0.5 * i, 10) for i in range(17)],
     })
     cfg = ks.parse_config(json.dumps(doc))
     batches = []
-    compute = ks.switch.compute_xpm_kernels
+    compute = ks.switch._kernel_batch
 
-    def counting(pumps, fiber, steps, signal_wavelength):
-        pumps = list(pumps)
-        batches.append([(ks.energy(p), steps) for p in pumps])
-        return compute(pumps, fiber, steps, signal_wavelength)
+    def counting(launch, windows, grid, wavelength, fiber, steps, signal_wavelength):
+        batches.append([(a.tobytes(), steps) for a in launch])
+        return compute(launch, windows, grid, wavelength, fiber, steps, signal_wavelength)
 
-    monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+    monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
     ks.cmd_sweep(cfg, tmp_path)
     keys = [key for batch in batches for key in batch]
     assert len(batches[0]) == 16
@@ -128,14 +128,13 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
     hundred times (285 from a fresh process), not once per delay or cell,
     so its hash needs no cache."""
     kernels, rows, hashes = [], [], []
-    compute = ks.switch.compute_xpm_kernels
+    compute = ks.switch._kernel_batch
     split_step = ks.propagation._split_step
     config_hash = ks.ExperimentConfig.__hash__
 
-    def counting_kernels(pumps, *args):
-        pumps = list(pumps)
-        kernels.append(len(pumps))
-        return compute(pumps, *args)
+    def counting_kernels(launch, *args):
+        kernels.append(len(launch))
+        return compute(launch, *args)
 
     def counting_split_step(launch, *args):
         rows.append(len(launch))
@@ -145,7 +144,7 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
         hashes.append(None)
         return config_hash(config)
 
-    monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting_kernels)
+    monkeypatch.setattr(ks.switch, "_kernel_batch", counting_kernels)
     monkeypatch.setattr(ks.propagation, "_split_step", counting_split_step)
     monkeypatch.setattr(ks.ExperimentConfig, "__hash__", counting_hash)
     ks.cmd_sweep(default_cfg, tmp_path)
@@ -248,7 +247,7 @@ class TestCmdSpectrum:
         kernel batch, and after it."""
         monkeypatch.setattr(ks.switch, "_kernel_cache", OrderedDict())
         peaks = []
-        compute = ks.switch.compute_xpm_kernels
+        compute = ks.switch._kernel_batch
 
         def marking(*args):
             kernels = compute(*args)
@@ -256,7 +255,7 @@ class TestCmdSpectrum:
             tracemalloc.reset_peak()
             return kernels
 
-        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", marking)
+        monkeypatch.setattr(ks.switch, "_kernel_batch", marking)
         tracemalloc.start()
         try:
             ks.cmd_spectrum(cfg, out)
@@ -351,6 +350,25 @@ class TestCliMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-config", "fock"])
+    def test_int64_noise_overflow_is_refused_at_parse(self, tmp_path, capsys, monkeypatch, command):
+        """`validate-config` once said "config OK" for this config, while
+        `fock` propagated the pump kernel, then exited 2 and left an empty
+        output directory. Both now exit 2 before any kernel or directory."""
+        def no_kernels(*args):
+            raise AssertionError("a kernel was computed")
+
+        monkeypatch.setattr(ks.propagation, "_split_step", no_kernels)
+        doc = {
+            "monte_carlo": {"pulses_per_delay": 4611686018427387904},
+            "detectors": {"noise_per_pulse_switched": 0.01, "noise_per_pulse_unswitched": 0.01},
+        }
+        code = main([command, "--config", self.write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "5 noise counts per pulse overflow int64 noise totals" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "fock", "spectrum", "calibrate"])
     @pytest.mark.parametrize("alpha_per_m", [3050.0, 1e4])
@@ -546,12 +564,43 @@ def test_fock_with_a_truncating_cutoff(tmp_path, capsys):
         assert sum(table) == pytest.approx(1.0, abs=1e-12)
 
 
+def _pi_energy_nj(doc):
+    """Rough pump energy, in nJ, of a π differential phase at the signal's
+    centre at zero delay: the XPM coefficient 8π n2 / (3 λs A_eff) times
+    the pump power the walk-through sweeps past that point, integrated over
+    the fiber. That is E erf(√ln2 |w| L / τ) / |w| for a Gaussian pump of
+    energy E and FWHM τ with walk-off w (P0 L at w = 0, P0 the peak power),
+    scaled by L_eff / L for loss. At most 1000 nJ, the bound a weak Kerr
+    effect gets."""
+    fiber = doc["fiber"]
+    length, alpha = fiber["length_m"], fiber["alpha_per_m"]
+    walk = abs(fiber["walkoff_ps_m"]) * 1e-12
+    fwhm = doc["pump"]["fwhm_fs"] * 1e-15
+    l_eff = -math.expm1(-alpha * length) / alpha if alpha > 0.0 else length
+    if walk * length > 1e-6 * fwhm:
+        swept = math.erf(math.sqrt(math.log(2.0)) * walk * length / fwhm) / walk
+    else:
+        swept = 2.0 * math.sqrt(math.log(2.0) / math.pi) * length / fwhm
+    coefficient = 8.0 * math.pi * fiber["n2_m2_w"] / (
+        3.0 * doc["signal"]["wavelength_nm"] * 1e-9 * fiber["a_eff_um2"] * 1e-12
+    )
+    per_nj = coefficient * swept * (l_eff / length) * 1e-9
+    return min(math.pi / per_nj, 1000.0) if per_nj > math.pi / 1000.0 else 1000.0
+
+
 def test_every_accepted_config_exits_cleanly(tmp_path, capsys, cold_kernel_cache):
     """Small accepted documents, with every physics, source, detector, TOF
     and Monte Carlo field drawn, run `sweep`, `fock` and `calibrate` through
     `main`. Each run ends in exit 0, 2 or 3, and writes only finite CSV cells.
     On exit 0, every efficiency lies in [0, 1] and every fock table row with
     a nonzero total sums to 1.
+
+    The sweep's energy ladder spans the drawn config's rough π energy
+    (`_pi_energy_nj`): one rung below it, one above, up to three anywhere
+    up to 3 times it. So `calibrate` brackets on some draws and exits 0:
+    8 of the 40, where a ladder drawn on 0–20 nJ bracketed on none. Draws
+    on which it cannot (sin²2θ ≤ 0.5, a signal much wider than the phase,
+    the estimate far off) are kept, and exit 3.
 
     `spectrum` is left out: the one-key config ``{"grid": {"n_samples":
     256}}`` makes it raise an uncaught `NoCrossing` (exit 1), because the
@@ -606,14 +655,25 @@ def test_every_accepted_config_exits_cleanly(tmp_path, capsys, cold_kernel_cache
             "jitter_fwhm_ps": floats(0.0, 50.0),
         }),
         "sweep": st.fixed_dictionaries({
-            "energies_nj": st.lists(floats(0.0, 20.0), min_size=1, max_size=5),
             "delays_ps": st.lists(floats(-10.0, 10.0), min_size=1, max_size=20),
         }),
         "solver": st.fixed_dictionaries({"steps": st.integers(8, 48)}),
         "monte_carlo": st.fixed_dictionaries({"pulses_per_delay": st.integers(1, 2000)}),
         "rng_seed": st.integers(0, 2**64 - 1),
     })
+
+    def with_ladder(doc):
+        pi = _pi_energy_nj(doc)
+        fractions = st.tuples(floats(0.0, 0.9), floats(1.1, 3.0)).flatmap(
+            lambda ends: st.lists(floats(0.0, 3.0), max_size=3).map(lambda rest: [*ends, *rest])
+        )
+        return fractions.map(
+            lambda fs: {**doc, "sweep": {**doc["sweep"], "energies_nj": [f * pi for f in fs]}}
+        )
+
+    document = document.flatmap(with_ladder)
     runs = count()
+    calibrated = []
 
     def finite_cells(path):
         for row in read_csv(path)[1:]:
@@ -663,6 +723,8 @@ def test_every_accepted_config_exits_cleanly(tmp_path, capsys, cold_kernel_cache
             else:
                 eta = json.loads((out / "calibration.json").read_text())["eta_at_calibrated_energy"]
                 assert 0.0 <= eta <= 1.0
+                calibrated.append(doc)
         capsys.readouterr()
 
     check()
+    assert len(calibrated) >= 8

@@ -105,11 +105,54 @@ class TestValidation:
         ],
     )
     def test_integer_fields_are_bounded(self, section, key, top):
-        cfg = ks.parse_config(json.dumps({section: {key: top}}))
+        """Each field's own range. The pulse count is checked without noise:
+        with noise, its int64 noise totals bound it lower (see
+        `test_noise_totals_past_int64_rejected_at_parse`)."""
+        doc = {section: {key: top}}
+        if key == "pulses_per_delay":
+            doc["detectors"] = {"noise_per_pulse_switched": 0.0, "noise_per_pulse_unswitched": 0.0}
+        cfg = ks.parse_config(json.dumps(doc))
         assert getattr(getattr(cfg, section), key) == top
         for over in (2 * top if key == "n_samples" else top + 1, 2**64):
             with pytest.raises(ValidationError, match=f"{section}.{key}"):
-                ks.parse_config(json.dumps({section: {key: over}}))
+                ks.parse_config(json.dumps({**doc, section: {key: over}}))
+
+    OVERFLOWING_NOISE = {
+        "monte_carlo": {"pulses_per_delay": 4611686018427387904},
+        "detectors": {"noise_per_pulse_switched": 0.01, "noise_per_pulse_unswitched": 0.01},
+    }
+
+    def test_noise_totals_past_int64_rejected_at_parse(self):
+        """2**62 pulses of at most 5 noise counts each could pass 2**63, so
+        the parser refuses the pulse count that `fock` refuses; one pulse
+        fewer than 2**63 / 5 passes."""
+        with pytest.raises(ValidationError, match="4611686018427387904 pulses x 5 noise counts per pulse overflow int64"):
+            ks.parse_config(json.dumps(self.OVERFLOWING_NOISE))
+        most = (2**63 - 1) // 5
+        doc = dict(self.OVERFLOWING_NOISE, monte_carlo={"pulses_per_delay": most})
+        assert ks.parse_config(json.dumps(doc)).monte_carlo.pulses_per_delay == most
+        doc["monte_carlo"] = {"pulses_per_delay": most + 1}
+        with pytest.raises(ValidationError, match="overflow int64"):
+            ks.parse_config(json.dumps(doc))
+
+    def test_large_noise_means_need_no_noise_grid(self, monkeypatch):
+        """A mean of 2e10 noise counts is decided from the grid's bounds:
+        accepted at the default pulse count, refused at 1e9 pulses, and
+        refused when the mean overflows to infinity."""
+        def no_grid(mean):
+            raise AssertionError("the noise grid was built")
+
+        monkeypatch.setattr(ks.photons, "_noise_totals", no_grid)
+        ks.parse_config(json.dumps({"detectors": {"noise_window_multiplier": 1e15}}))
+        with pytest.raises(ValidationError, match="overflow int64"):
+            ks.parse_config(json.dumps({
+                "detectors": {"noise_window_multiplier": 1e15},
+                "monte_carlo": {"pulses_per_delay": 10**9},
+            }))
+        with pytest.raises(ValidationError, match="overflow int64"):
+            ks.parse_config(json.dumps({
+                "detectors": {"noise_per_pulse_switched": 1e300, "noise_window_multiplier": 1e300},
+            }))
 
     def test_bad_efficiency(self):
         with pytest.raises(ValidationError, match="herald_efficiency"):

@@ -348,14 +348,11 @@ class TestMonteCarlo:
             assert np.array_equal(changed.split_events[n][1], base.split_events[n][1])
 
     def test_noise_totals_past_int64_rejected(self):
-        cfg = ks.parse_config(json.dumps({
-            "monte_carlo": {"pulses_per_delay": 10**18},
-            "detectors": {"noise_window_multiplier": 1e6},
-        }))
+        """The parser refuses this pulse count in a config; a library caller
+        that passes it to the Monte Carlo is refused there too."""
+        cfg = ks.parse_config(json.dumps({"detectors": {"noise_window_multiplier": 1e6}}))
         with pytest.raises(ValidationError):
-            ks.monte_carlo_experiment(
-                cfg, lambda tau: 0.5, pulses=cfg.monte_carlo.pulses_per_delay, seed=1
-            )
+            ks.monte_carlo_experiment(cfg, lambda tau: 0.5, pulses=10**18, seed=1)
 
     def test_noise_totals_exact_up_to_the_int64_bound(self):
         cfg = ks.parse_config(json.dumps({

@@ -741,6 +741,39 @@ def _batch_pumps(energies, delay=0.0):
     ]
 
 
+def test_window_holds_three_arrays_per_sample():
+    """A window group holds, per row and sample, its field, the contiguous
+    intensity and the complex rotation: 40 bytes."""
+    cfg = ks.default_config()
+    m, rows = 768, 3
+    window = ks.propagation._Window(cfg.grid, m, cfg.fiber, cfg.fiber.length / 256)
+    window.join(np.arange(rows), np.ones((rows, m), dtype=np.complex128))
+    per_row = [v for v in vars(window).values() if isinstance(v, np.ndarray) and v.shape == (rows, m)]
+    assert sum(v.nbytes for v in per_row) == 40 * rows * m
+    assert window.intensity.flags.c_contiguous
+
+
+def test_split_step_keeps_no_launch_copy(monkeypatch):
+    """Once the window groups are seeded, the split-step's launch list is
+    empty: no launch field lives through the passes."""
+    launches, lengths = [], []
+    split_step, add_shifted = ks.propagation._split_step, ks.propagation._add_shifted
+
+    def capturing(launch, *args):
+        launches.append(launch)
+        return split_step(launch, *args)
+
+    def checking(*args):
+        lengths.append(len(launches[-1]))
+        return add_shifted(*args)
+
+    monkeypatch.setattr(ks.propagation, "_split_step", capturing)
+    monkeypatch.setattr(ks.propagation, "_add_shifted", checking)
+    cfg = ks.default_config()
+    ks.compute_xpm_kernels(_batch_pumps([1e-9, 8e-9]), cfg.fiber, 16, cfg.signal.center_wavelength)
+    assert len(lengths) >= 16 and set(lengths) == {0}
+
+
 class TestKernelBatch:
     """compute_xpm_kernels rows against one-pump kernels, on the default grid
     and fiber at 64 steps: a 0.5 nJ pump that stays on 768 samples, an 8 nJ

@@ -7,6 +7,7 @@ import math
 import threading
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,14 +171,13 @@ class TestCalibration:
         stops after one round: the parabola's vertex and the points xatol on
         either side of it, as one more batch."""
         batches = []
-        compute = ks.switch.compute_xpm_kernels
+        compute = ks.switch._kernel_batch
 
-        def counting(pumps, *args):
-            pumps = list(pumps)
-            batches.append(len(pumps))
-            return compute(pumps, *args)
+        def counting(launch, *args):
+            batches.append(len(launch))
+            return compute(launch, *args)
 
-        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+        monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
         energy = ks.calibrate_pi_energy(default_cfg)
         assert batches == [28, 3]
         assert energy / NJ == 7.810040508505639
@@ -601,18 +601,111 @@ class TestSweepSurface:
         first, second = ks.parse_config(doc), ks.parse_config(doc)
         assert first is not second
         batches = []
-        compute = ks.switch.compute_xpm_kernels
+        compute = ks.switch._kernel_batch
 
-        def counting(pumps, *args):
-            pumps = list(pumps)
-            batches.append(len(pumps))
-            return compute(pumps, *args)
+        def counting(launch, *args):
+            batches.append(len(launch))
+            return compute(launch, *args)
 
-        monkeypatch.setattr(ks.switch, "compute_xpm_kernels", counting)
+        monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
         delays = np.array([-0.5e-12, 0.0, 0.5e-12])
         etas = ks.efficiency_vs_delay(first, 5.125e-9, delays)
         assert np.array_equal(ks.efficiency_vs_delay(second, 5.125e-9, delays), etas)
         assert batches == [1]
+
+
+TINY = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "tiny.json"
+
+
+class TestLaunchFields:
+    """The kernel ladder's pumps exist only on their launch windows: one
+    whole-grid shape per config, one window search, and per energy the
+    window's samples alone."""
+
+    def test_cold_sweep_builds_no_pump_envelope(self, default_cfg, monkeypatch, cold_kernel_cache):
+        """A cold default sweep builds no pump `PulseEnvelope`, so none on
+        the grid per energy (28 when each pump was built on the whole
+        grid); only the signal's envelopes, at most two, are built."""
+        built = []
+        post_init = ks.PulseEnvelope.__post_init__
+
+        def counting(envelope):
+            built.append((envelope.grid, envelope.center_wavelength))
+            post_init(envelope)
+
+        monkeypatch.setattr(ks.PulseEnvelope, "__post_init__", counting)
+        ks.sweep_surface(default_cfg)
+        assert [w for _, w in built if w == default_cfg.pump.center_wavelength] == []
+        assert sum(1 for grid, _ in built if grid == default_cfg.grid) <= 2
+
+    @staticmethod
+    def assert_same_as_whole_grid_pumps(cfg, energies):
+        """Each energy's launch field is the window of the pump built on the
+        whole grid, bit for bit, and that pump's own `_launch_window` search
+        gives the cached window."""
+        shape, raw, m = ks.switch._pump_shape(cfg)
+        lo = (cfg.grid.n_samples - m) // 2
+        bound = ks.propagation.WINDOW_MASS_BOUND
+        for e, field in zip(energies, ks.switch._launch_fields(cfg, energies)):
+            pump = ks.switch._make_pump(cfg, e)
+            intensity = np.abs(pump.samples) ** 2
+            assert ks.propagation._launch_window(intensity, bound * intensity.sum()) == m, e
+            assert field.tobytes() == pump.samples[lo : lo + m].tobytes(), e
+
+    WIDE_PUMP = {
+        "grid": {"n_samples": 256, "window_ps": 5.0},
+        "pump": {"fwhm_fs": 1000.0},
+        "signal": {"fwhm_fs": 1000.0},
+    }
+
+    @pytest.mark.parametrize("doc, window", [
+        ("{}", 768),
+        (TINY.read_text(), 64),
+        ('{"grid": {"n_samples": 256}}', 64),
+        (json.dumps(WIDE_PUMP), 256),
+    ], ids=["default", "tiny", "256-samples", "whole-grid"])
+    def test_window_equals_each_pumps_own_search(self, doc, window):
+        """The cached window is each pump's own full-grid search, on the
+        default ladder, perfbench's tiny config, a 256-sample grid and a
+        grid the pump fills (its window is the whole grid). The two searches
+        sum the same shape, at each energy scaled and rounded once more, so
+        only a pump whose outside mass, or outer-1/16 mass, lies within an
+        ulp of the 1e-15 bound could tell them apart."""
+        cfg = ks.parse_config(doc)
+        energies = sorted({e for e in cfg.sweep.energies if e > 0.0} | {cfg.pump.energy})
+        self.assert_same_as_whole_grid_pumps(cfg, energies)
+        assert ks.switch._pump_shape(cfg)[2] == window
+
+    def test_window_equals_each_pumps_own_search_on_drawn_grids(self):
+        """As above, on drawn pump widths, grids and energies (the same
+        ulp caveat holds)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.floats(20.0, 2000.0),
+            st.sampled_from([2**k for k in range(6, 17)]),
+            st.floats(4.05, 300.0),
+            st.lists(st.floats(1e-4, 100.0), min_size=1, max_size=4),
+        )
+        def check(fwhm_fs, n_samples, window_over_fwhm, energies_nj):
+            doc = {
+                "pump": {"fwhm_fs": fwhm_fs},
+                "signal": {"fwhm_fs": fwhm_fs},
+                "grid": {"n_samples": n_samples, "window_ps": fwhm_fs * window_over_fwhm * 1e-3},
+            }
+            cfg = ks.parse_config(json.dumps(doc))
+            self.assert_same_as_whole_grid_pumps(cfg, [e * 1e-9 for e in energies_nj])
+
+        check()
+
+    def test_negative_or_overflowing_energy_rejected(self, default_cfg, cold_kernel_cache):
+        """The checks a whole-grid pump made still hold on its window."""
+        with pytest.raises(ks.errors.NegativeEnergy):
+            ks.numeric_efficiency(default_cfg, -1e-9, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            ks.numeric_efficiency(default_cfg, math.inf, 0.0)
 
 
 @pytest.fixture(scope="module")
