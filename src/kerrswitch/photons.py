@@ -13,6 +13,7 @@ from .core import DetectorConfig, ExperimentConfig
 from .errors import CutoffTooSmall, NoCoincidences, ValidationError, ZeroNoise
 
 _NOISE_TAIL = 1e-13  # largest Poisson tail mass the noise grid may drop
+_NOISE_MEAN_MAX = 1e4  # most mean noise counts per window the noise grid is built for
 
 
 @dataclass(frozen=True)
@@ -322,8 +323,12 @@ def _outcome_cells(config: ExperimentConfig, n_max: int, etas):
 
 def _check_noise_totals(det: DetectorConfig, pulses: int) -> None:
     """Raise ValidationError if `pulses` pulses could overflow the int64
-    noise totals of `monte_carlo_experiment`: a delay's total is at most
-    pulses times T, the top count of the noise grid (`_noise_totals`).
+    noise totals of `monte_carlo_experiment` (a delay's total is at most
+    pulses times T, the top count of the noise grid, `_noise_totals`), or if
+    the mean noise count per window exceeds `_NOISE_MEAN_MAX`: the grid's
+    size, and the time and memory `fock` spends on it, grow with the mean
+    (at the bound, 10 745 counts, and 10 MiB of outcome table over 121
+    delays).
 
     It depends on the config alone, so `parse_config` runs it too. T lies
     in [floor(mean) - 1, `_noise_far`(mean)) (a Poisson count reaches its
@@ -335,6 +340,10 @@ def _check_noise_totals(det: DetectorConfig, pulses: int) -> None:
     if not math.isfinite(mean) or pulses * (math.floor(mean) - 1) >= 2**63:
         raise ValidationError(
             f"{pulses} pulses x {mean:g} mean noise counts per pulse overflow int64 noise totals"
+        )
+    if mean > _NOISE_MEAN_MAX:
+        raise ValidationError(
+            f"detectors: {mean:g} mean noise counts per window exceed {_NOISE_MEAN_MAX:g}"
         )
     if pulses * _noise_far(mean) < 2**63:
         return

@@ -149,9 +149,10 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     slices.csv (the zero-delay energy slice and the calibrated-energy delay
     slice), metrics.json, and manifest.json. Everything runs on the calling
     thread; the surface rows, the convergence check, calibration and the
-    slices share one kernel cache. The surface's kernels are propagated as
-    one batch first, so the check's kernel at ``solver.steps`` comes from it
-    when the operating energy is on the sweep axis.
+    slices share the config's one model (`switch._model`) and its kernels.
+    The surface's kernels are propagated as one batch first, so the check's
+    kernel at ``solver.steps`` comes from it when the operating energy is on
+    the sweep axis.
 
     Raises:
         NonConvergence: if the step-doubling residual at the operating point

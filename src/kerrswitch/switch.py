@@ -7,7 +7,7 @@ import math
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,114 +82,130 @@ def _make_signal(config: ExperimentConfig) -> PulseEnvelope:
     )
 
 
-@lru_cache(maxsize=16)
-def _pump_shape(config: ExperimentConfig) -> tuple[np.ndarray, float, int]:
-    """(shape, raw, m): the pump's intensity shape on its launch window of
-    `m` samples, centred in ``config.grid``, and the discrete energy `raw`
-    of the whole-grid shape (see `core._pulse_shape`).
-
-    The pump at energy E has the samples sqrt(shape * (E / raw)) there, the
-    same bits as the window of `_make_pump`'s pulse. `m` is the
-    `_launch_window` of the whole-grid shape. That of a pulse at energy E
-    searches |samples|^2 instead, each sample within an ulp or two of
-    shape * (E / raw), so the two could part only for a pump whose energy
-    outside a window, or in its outer 1/16, lies within an ulp of the bound.
-    `shape` is read-only and shared by every call with `config`.
-    """
-    grid = config.grid
-    intensity, raw = _pulse_shape(grid, config.pump.fwhm_duration, 0.0, 1)
-    m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
-    lo = (grid.n_samples - m) // 2
-    shape = intensity[lo : lo + m].copy()
-    shape.flags.writeable = False
-    return shape, raw, m
-
-
-def _launch_fields(config: ExperimentConfig, energies: list[float]) -> list[np.ndarray]:
-    """The launch field of the pump at each of `energies` (each > 0) on its
-    `_pump_shape` window: the window of `_make_pump`'s pulse, bit for bit,
-    without building the pulse on the whole grid.
-
-    Raises:
-        NegativeEnergy: if an energy is negative.
-        ValidationError: if a field is not finite.
-    """
-    shape, raw, _ = _pump_shape(config)
-    fields = []
-    for e in energies:
-        if e < 0.0:
-            raise NegativeEnergy("pulse energy must be non-negative")
-        a = np.sqrt(shape * (e / raw)).astype(np.complex128)
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ValidationError("envelope samples must be finite")
-        fields.append(a)
-    return fields
-
-
-# Pump kernels by (config, pump energy, steps), least recently used first.
+# Most pump kernels a `_Model` keeps.
 _KERNEL_CACHE_SIZE = 64
-_kernel_cache: OrderedDict[tuple[ExperimentConfig, float, int], XpmKernel] = OrderedDict()
 
 
-def _kernels(
-    config: ExperimentConfig, energies: Iterable[float], steps: int | None = None
-) -> Iterator[XpmKernel | None]:
-    """The kernel at `steps` pump slices (default ``config.solver.steps``) of
-    each of `energies` in order, None at zero energy.
+class _Model:
+    """Everything this module derives from one config: the pump's launch
+    shape and fields, the signal's support and the pump kernels. Each is
+    computed when first asked for, then kept with the model (`_model`)."""
 
-    The energies are taken in blocks of `_KERNEL_CACHE_SIZE`. The kernels a
-    block lacks in the cache are computed as one `_kernel_batch`, from
-    launch fields built on the pump's launch window alone (`_launch_fields`),
-    then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently used
-    kernels, so a ladder of any length holds at most one block of them.
-    """
-    steps = config.solver.steps if steps is None else steps
-    energies = [float(e) for e in energies]
-    for start in range(0, len(energies), _KERNEL_CACHE_SIZE):
-        block = energies[start : start + _KERNEL_CACHE_SIZE]
-        keys = [(config, e, steps) for e in block if e != 0.0]
-        missing = [key for key in dict.fromkeys(keys) if key not in _kernel_cache]
-        if missing:
-            computed = _kernel_batch(
-                _launch_fields(config, [e for _, e, _ in missing]),
-                [_pump_shape(config)[2]] * len(missing),
-                config.grid,
-                config.pump.center_wavelength,
-                config.fiber,
-                steps,
-                config.signal.center_wavelength,
-            )
-            _kernel_cache.update(zip(missing, computed))
-        for key in keys:
-            _kernel_cache.move_to_end(key)
-        kernels = iter([_kernel_cache[key] for key in keys])
-        while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-            _kernel_cache.popitem(last=False)
-        for e in block:
-            yield None if e == 0.0 else next(kernels)
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        # Pump kernels by (pump energy, steps), least recently used first.
+        self.kernel_cache: OrderedDict[tuple[float, int], XpmKernel] = OrderedDict()
+
+    @cached_property
+    def pump_shape(self) -> tuple[np.ndarray, float, int]:
+        """(shape, raw, m): the pump's intensity shape on its launch window of
+        `m` samples, centred in ``config.grid``, and the discrete energy `raw`
+        of the whole-grid shape (see `core._pulse_shape`).
+
+        The pump at energy E has the samples sqrt(shape * (E / raw)) there, the
+        same bits as the window of `_make_pump`'s pulse. `m` is the
+        `_launch_window` of the whole-grid shape. That of a pulse at energy E
+        searches |samples|^2 instead, each sample within an ulp or two of
+        shape * (E / raw), so the two could part only for a pump whose energy
+        outside a window, or in its outer 1/16, lies within an ulp of the bound.
+        `shape` is read-only and shared by every call with the model.
+        """
+        grid = self.config.grid
+        intensity, raw = _pulse_shape(grid, self.config.pump.fwhm_duration, 0.0, 1)
+        m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
+        lo = (grid.n_samples - m) // 2
+        shape = intensity[lo : lo + m].copy()
+        shape.flags.writeable = False
+        return shape, raw, m
+
+    def launch_fields(self, energies: list[float]) -> list[np.ndarray]:
+        """The launch field of the pump at each of `energies` (each > 0) on its
+        `pump_shape` window: the window of `_make_pump`'s pulse, bit for bit,
+        without building the pulse on the whole grid.
+
+        Raises:
+            NegativeEnergy: if an energy is negative.
+            ValidationError: if a field is not finite.
+        """
+        shape, raw, _ = self.pump_shape
+        fields = []
+        for e in energies:
+            if e < 0.0:
+                raise NegativeEnergy("pulse energy must be non-negative")
+            a = np.sqrt(shape * (e / raw)).astype(np.complex128)
+            if not np.all(np.isfinite(a.view(np.float64))):
+                raise ValidationError("envelope samples must be finite")
+            fields.append(a)
+        return fields
+
+    def kernels(
+        self, energies: Iterable[float], steps: int | None = None
+    ) -> Iterator[XpmKernel | None]:
+        """The kernel at `steps` pump slices (default ``config.solver.steps``) of
+        each of `energies` in order, None at zero energy.
+
+        The energies are taken in blocks of `_KERNEL_CACHE_SIZE`. The kernels a
+        block lacks in `kernel_cache` are computed as one `_kernel_batch`, from
+        launch fields built on the pump's launch window alone (`launch_fields`),
+        then cached. The cache keeps the `_KERNEL_CACHE_SIZE` most recently used
+        kernels, so a ladder of any length holds at most one block of them.
+        """
+        config, cache = self.config, self.kernel_cache
+        steps = config.solver.steps if steps is None else steps
+        energies = [float(e) for e in energies]
+        for start in range(0, len(energies), _KERNEL_CACHE_SIZE):
+            block = energies[start : start + _KERNEL_CACHE_SIZE]
+            keys = [(e, steps) for e in block if e != 0.0]
+            missing = [key for key in dict.fromkeys(keys) if key not in cache]
+            if missing:
+                computed = _kernel_batch(
+                    self.launch_fields([e for e, _ in missing]),
+                    [self.pump_shape[2]] * len(missing),
+                    config.grid,
+                    config.pump.center_wavelength,
+                    config.fiber,
+                    steps,
+                    config.signal.center_wavelength,
+                )
+                cache.update(zip(missing, computed))
+            for key in keys:
+                cache.move_to_end(key)
+            kernels = iter([cache[key] for key in keys])
+            while len(cache) > _KERNEL_CACHE_SIZE:
+                cache.popitem(last=False)
+            for e in block:
+                yield None if e == 0.0 else next(kernels)
+
+    @cached_property
+    def signal_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, weights) of the propagated signal's intensity on its support.
+
+        The support is the contiguous run of grid samples left after trimming
+        each end by at most half of ``WINDOW_MASS_BOUND`` of the total weight, so
+        an efficiency summed over it differs from the full-grid sum only by the
+        weight it leaves out. Both arrays are read-only and shared by every call
+        with the model.
+        """
+        config = self.config
+        out = propagate_signal_linear(_make_signal(config), config.fiber)
+        weights = np.abs(out.samples) ** 2
+        total = weights.sum()
+        cut = 0.5 * WINDOW_MASS_BOUND * total
+        lo = int(np.searchsorted(np.cumsum(weights), cut, side="right"))
+        hi = weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), cut, side="right"))
+        left_out = weights[:lo].sum() + weights[hi:].sum()
+        assert left_out <= WINDOW_MASS_BOUND * total, "signal support drops too much weight"
+        times, weights = config.grid.times[lo:hi], weights[lo:hi]
+        times.flags.writeable = weights.flags.writeable = False
+        return times, weights
 
 
-@lru_cache(maxsize=16)
-def _signal_support(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(times, weights) of the propagated signal's intensity on its support.
-
-    The support is the contiguous run of grid samples left after trimming
-    each end by at most half of ``WINDOW_MASS_BOUND`` of the total weight, so
-    an efficiency summed over it differs from the full-grid sum only by the
-    weight it leaves out. Both arrays are read-only and shared by every call
-    with `config`.
-    """
-    out = propagate_signal_linear(_make_signal(config), config.fiber)
-    weights = np.abs(out.samples) ** 2
-    total = weights.sum()
-    cut = 0.5 * WINDOW_MASS_BOUND * total
-    lo = int(np.searchsorted(np.cumsum(weights), cut, side="right"))
-    hi = weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), cut, side="right"))
-    left_out = weights[:lo].sum() + weights[hi:].sum()
-    assert left_out <= WINDOW_MASS_BOUND * total, "signal support drops too much weight"
-    times, weights = config.grid.times[lo:hi], weights[lo:hi]
-    times.flags.writeable = weights.flags.writeable = False
-    return times, weights
+@lru_cache(maxsize=2)
+def _model(config: ExperimentConfig) -> _Model:
+    """The one `_Model` of `config` (of any equal config), for the two most
+    recently used configs: a process holds at most 2 x `_KERNEL_CACHE_SIZE`
+    kernels. A command runs one config, so its stages share one model."""
+    return _Model(config)
 
 
 def _rotated(signal_weights: np.ndarray, xpm_phase: np.ndarray) -> float | np.ndarray:
@@ -227,7 +243,7 @@ _ETA_BLOCK = 2**16
 
 
 def _etas(
-    config: ExperimentConfig,
+    model: _Model,
     kernels: Iterable[XpmKernel | None],
     delays: np.ndarray | list[float],
 ) -> np.ndarray:
@@ -242,10 +258,10 @@ def _etas(
     `efficiency_from_phase` does. An entry is the same bits whatever delays
     share its block, so a row equals the one-delay calls.
     """
-    times, weights = _signal_support(config)
+    times, weights = model.signal_support
     delays = np.asarray(delays, dtype=float)
     block = max(1, _ETA_BLOCK // times.size)
-    scale = math.sin(2.0 * config.geometry.theta) ** 2
+    scale = math.sin(2.0 * model.config.geometry.theta) ** 2
     total = weights.sum()
     phase = np.empty((min(block, delays.size), times.size))
     rows = []
@@ -275,8 +291,9 @@ def numeric_efficiency(
     only (the weight left out is at most ``WINDOW_MASS_BOUND`` of the
     total).
     """
-    (kernel,) = _kernels(config, [pump_energy], steps)
-    eta = float(_etas(config, [kernel], [delay])[0, 0])
+    model = _model(config)
+    (kernel,) = model.kernels([pump_energy], steps)
+    eta = float(_etas(model, [kernel], [delay])[0, 0])
     return SwitchResult(eta=eta, delay=delay, pump_energy=pump_energy)
 
 
@@ -291,7 +308,8 @@ def efficiency_vs_delay(
     The row comes from `_etas`, the evaluator `numeric_efficiency` uses, so
     an entry equals the direct call at that delay.
     """
-    return _etas(config, _kernels(config, [pump_energy]), delays)[0]
+    model = _model(config)
+    return _etas(model, model.kernels([pump_energy]), delays)[0]
 
 
 def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
@@ -300,13 +318,14 @@ def sweep_surface(config: ExperimentConfig, workers: int = 1) -> SweepSurface:
     The kernels of the energy axis are propagated as one batch per block of
     `_KERNEL_CACHE_SIZE`, then every row is evaluated by `_etas`, the
     evaluator `efficiency_vs_delay` uses, in axis order, on the calling
-    thread. Every kernel lands in the shared kernel cache, where calibration
+    thread. Every kernel lands in the config's `_model`, where calibration
     and the slices find it. `workers` is accepted for callers that pass it
     (perfbench's probes do) and changes nothing.
     """
     energies = np.asarray(config.sweep.energies, dtype=float)
     delays = np.asarray(config.sweep.delays, dtype=float)
-    eta_grid = _etas(config, _kernels(config, energies), delays)
+    model = _model(config)
+    eta_grid = _etas(model, model.kernels(energies), delays)
     return SweepSurface(energies=energies, delays=delays, eta_grid=eta_grid)
 
 
@@ -317,7 +336,7 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     their range when fewer are distinct), then refines the bracket around
     the best scanned energy by `_bracketed_argmax`, whose rounds each
     propagate their new kernels as one batch. The result is an evaluated
-    energy, so its kernel is in the kernel cache. Deterministic for a fixed
+    energy, so its kernel is in the config's `_model`. Deterministic for a fixed
     config.
 
     Raises:
@@ -334,8 +353,10 @@ def calibrate_pi_energy(config: ExperimentConfig) -> float:
     else:
         coarse = np.linspace(lo, hi, 17).tolist()
 
+    model = _model(config)
+
     def zero_delay_etas(es: list[float]) -> list[float]:
-        return _etas(config, _kernels(config, es), [0.0])[:, 0].tolist()
+        return _etas(model, model.kernels(es), [0.0])[:, 0].tolist()
 
     etas = zero_delay_etas(coarse)
     best = int(np.argmax(etas))
@@ -439,7 +460,7 @@ def pump_output_spectra(
     """`pump_output_spectrum` at each energy, in order, with the kernels of
     the whole ladder propagated as one batch. Each spectrum is computed when
     it is read, so a caller that drops each one holds one at a time."""
-    for k in _kernels(config, pump_energies):
+    for k in _model(config).kernels(pump_energies):
         yield pump_spectrum(_make_pump(config, 1e-12) if k is None else k.pump_final)
 
 

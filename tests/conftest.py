@@ -1,10 +1,9 @@
 """Shared fixtures: the default experiment and its calibrated operating point.
 
 Session-scoped because calibration runs the propagator a few dozen times; the
-kernel cache makes every later lookup at the same energies free.
+config's model (`switch._model`) keeps its kernels, so every later lookup at
+the same energies is free.
 """
-
-from collections import OrderedDict
 
 import pytest
 
@@ -23,5 +22,6 @@ def calibrated_energy(default_cfg):
 
 @pytest.fixture
 def cold_kernel_cache(monkeypatch):
-    """An empty kernel cache for one test; the session's cache is back after it."""
-    monkeypatch.setattr(ks.switch, "_kernel_cache", OrderedDict())
+    """No model, so no kernel, is cached when the test starts; later tests
+    rebuild the models they need."""
+    ks.switch._model.cache_clear()

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from collections import OrderedDict
 from itertools import count
 from pathlib import Path
 
@@ -124,9 +123,10 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
     """Every pump kernel of a cold default sweep runs from launch once: one
     split-step call per batch of kernels, one row per kernel. The batches
     are the 28-pump ladder, the convergence check's 512-step kernel and the
-    calibration's one refinement round of 3. The config is hashed a few
-    hundred times (285 from a fresh process), not once per delay or cell,
-    so its hash needs no cache."""
+    calibration's one refinement round of 3. The config is hashed once per
+    model lookup (5 times: the surface, the check's two kernels, the
+    calibration and the slice), not once per kernel, delay or cell, so its
+    hash needs no cache."""
     kernels, rows, hashes = [], [], []
     compute = ks.switch._kernel_batch
     split_step = ks.propagation._split_step
@@ -150,7 +150,7 @@ def test_cold_default_cmd_sweep_starts_each_kernel_once(
     ks.cmd_sweep(default_cfg, tmp_path)
     assert rows == kernels
     assert kernels == [28, 1, 3]
-    assert 0 < len(hashes) <= 1000
+    assert 0 < len(hashes) <= 10
 
 
 def test_cmd_sweep_default_config_metrics(default_cfg, calibrated_energy, tmp_path):
@@ -245,7 +245,7 @@ class TestCmdSpectrum:
     def _traced_peaks(cfg, out, monkeypatch):
         """tracemalloc peaks of a cold cmd_spectrum: up to the end of its
         kernel batch, and after it."""
-        monkeypatch.setattr(ks.switch, "_kernel_cache", OrderedDict())
+        ks.switch._model.cache_clear()
         peaks = []
         compute = ks.switch._kernel_batch
 
@@ -368,6 +368,26 @@ class TestCliMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "5 noise counts per pulse overflow int64 noise totals" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fock"])
+    def test_noise_mean_past_the_grid_bound_is_refused_at_parse(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A mean of 1e8 noise counts per window once passed
+        `validate-config`, and `fock` would have spent minutes and gigabytes
+        on its noise grid. Both now exit 2 before any kernel, noise grid or
+        directory."""
+        def refuse(*args):
+            raise AssertionError("a kernel or noise grid was computed")
+
+        monkeypatch.setattr(ks.propagation, "_split_step", refuse)
+        monkeypatch.setattr(ks.photons, "_noise_totals", refuse)
+        doc = {"detectors": {"noise_window_multiplier": 5e12}}
+        code = main([command, "--config", self.write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "1e+08 mean noise counts per window exceed 10000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "fock", "spectrum", "calibrate"])

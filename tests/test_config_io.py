@@ -136,14 +136,18 @@ class TestValidation:
             ks.parse_config(json.dumps(doc))
 
     def test_large_noise_means_need_no_noise_grid(self, monkeypatch):
-        """A mean of 2e10 noise counts is decided from the grid's bounds:
-        accepted at the default pulse count, refused at 1e9 pulses, and
-        refused when the mean overflows to infinity."""
+        """Large noise means are decided without the noise grid: a mean of
+        1e4 counts per window is accepted at the default pulse count, a mean
+        of 2e10 is refused there (its grid would take minutes and gigabytes)
+        and refused at 1e9 pulses, and a mean that overflows to infinity is
+        refused."""
         def no_grid(mean):
             raise AssertionError("the noise grid was built")
 
         monkeypatch.setattr(ks.photons, "_noise_totals", no_grid)
-        ks.parse_config(json.dumps({"detectors": {"noise_window_multiplier": 1e15}}))
+        ks.parse_config(json.dumps({"detectors": {"noise_window_multiplier": 5e8}}))
+        with pytest.raises(ValidationError, match="2e\\+10 mean noise counts per window exceed 10000"):
+            ks.parse_config(json.dumps({"detectors": {"noise_window_multiplier": 1e15}}))
         with pytest.raises(ValidationError, match="overflow int64"):
             ks.parse_config(json.dumps({
                 "detectors": {"noise_window_multiplier": 1e15},

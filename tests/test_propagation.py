@@ -636,7 +636,7 @@ def test_end_guard_grows_in_place(runs, late_growth):
     assert runs == [[768]]
     m = kernel.window_samples
     assert m == 1024
-    got = ks.switch._etas(cfg, [kernel], cfg.sweep.delays)[0]
+    got = ks.switch._etas(ks.switch._model(cfg), [kernel], cfg.sweep.delays)[0]
     reference = _reference_row(cfg, pump)
     assert reference.max() > 0.1
     assert np.abs(got - reference).max() <= 1e-12

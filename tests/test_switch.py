@@ -6,7 +6,6 @@ import json
 import math
 import threading
 import tracemalloc
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +385,7 @@ def test_row_equals_direct_calls_on_a_wide_signal_support():
     stacked multi-delay einsum would round differently; each entry of the
     row still equals the one-delay call bit for bit."""
     cfg = ks.parse_config(json.dumps({"signal": {"fwhm_fs": 4000.0}, "solver": {"steps": 16}}))
-    assert ks.switch._signal_support(cfg)[0].size > 8192
+    assert ks.switch._model(cfg).signal_support[0].size > 8192
     delays = np.asarray(cfg.sweep.delays)
     assert delays.size == 121
     row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
@@ -399,7 +398,7 @@ def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
     """With blocks of 50 delays, the 121 delays take three blocks, the last
     one partial; each entry still equals the one-delay call bit for bit."""
     cfg = ks.parse_config(json.dumps({"solver": {"steps": 16}}))
-    support = ks.switch._signal_support(cfg)[0].size
+    support = ks.switch._model(cfg).signal_support[0].size
     monkeypatch.setattr(ks.switch, "_ETA_BLOCK", 50 * support)
     blocks = []
     evaluate = ks.switch._rotated
@@ -420,7 +419,7 @@ def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
 def _interp_row(cfg, kernel, delays):
     """Efficiency of `kernel` at each of `delays` with the phase sampled by
     np.interp on the span, one delay at a time."""
-    times, weights = ks.switch._signal_support(cfg)
+    times, weights = ks.switch._model(cfg).signal_support
     return np.array([
         ks.efficiency_from_phase(
             weights,
@@ -455,8 +454,9 @@ class TestTwoTapEvaluator:
             # land an ulp below and blend with frac = 1 - 2**-k.
             shifts = delays / default_cfg.grid.dt
             assert (shifts == np.floor(shifts)).sum() >= 90
-        (kernel,) = ks.switch._kernels(default_cfg, [energy_nj * NJ])
-        row = ks.switch._etas(default_cfg, [kernel], delays)[0]
+        model = ks.switch._model(default_cfg)
+        (kernel,) = model.kernels([energy_nj * NJ])
+        row = ks.switch._etas(model, [kernel], delays)[0]
         reference = _interp_row(default_cfg, kernel, delays)
         assert np.abs(row - reference).max() <= 1e-15
         assert np.array_equal(row == 0.0, reference == 0.0)
@@ -474,11 +474,12 @@ class TestTwoTapEvaluator:
             "fiber": {"walkoff_ps_m": 50.0},
             "solver": {"steps": 16},
         }))
-        (kernel,) = ks.switch._kernels(cfg, [8 * NJ])
+        model = ks.switch._model(cfg)
+        (kernel,) = model.kernels([8 * NJ])
         assert kernel.offsets.size == cfg.grid.n_samples
         assert kernel.phase_vs_offset[0] > 0.1 and kernel.phase_vs_offset[-1] > 0.1
         delays = (np.arange(-4800, 4801, 40) + 0.3) * cfg.grid.dt
-        row = ks.switch._etas(cfg, [kernel], delays)[0]
+        row = ks.switch._etas(model, [kernel], delays)[0]
         reference = _interp_row(cfg, kernel, delays)
         assert np.abs(row - reference).max() <= 1e-15
         assert np.array_equal(row == 0.0, reference == 0.0)
@@ -488,12 +489,13 @@ class TestTwoTapEvaluator:
         """Over the default sweep's 29 kernels (computed beforehand), `_etas`
         traces at most four blocks' worth of memory: its buffer, the near and
         far rows it gathers for a block, and a padded span."""
-        kernels = list(ks.switch._kernels(default_cfg, default_cfg.sweep.energies))
+        model = ks.switch._model(default_cfg)
+        kernels = list(model.kernels(default_cfg.sweep.energies))
         assert len(kernels) == 29
-        ks.switch._signal_support(default_cfg)
+        model.signal_support  # computed before tracing starts
         tracemalloc.start()
         try:
-            ks.switch._etas(default_cfg, kernels, default_cfg.sweep.delays)
+            ks.switch._etas(model, kernels, default_cfg.sweep.delays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,7 +581,7 @@ class TestSweepSurface:
         cfg = ks.parse_config(json.dumps(doc))
         surface = ks.sweep_surface(cfg)
         for energy, row in zip(cfg.sweep.energies, surface.eta_grid):
-            ks.switch._kernel_cache.clear()
+            ks.switch._model.cache_clear()
             assert np.array_equal(row, ks.efficiency_vs_delay(cfg, energy, surface.delays))
 
     def test_ladder_longer_than_the_kernel_cache(self, cold_kernel_cache):
@@ -590,7 +592,7 @@ class TestSweepSurface:
         }
         cfg = ks.parse_config(json.dumps(doc))
         surface = ks.sweep_surface(cfg)
-        assert len(ks.switch._kernel_cache) <= ks.switch._KERNEL_CACHE_SIZE
+        assert len(ks.switch._model(cfg).kernel_cache) == ks.switch._KERNEL_CACHE_SIZE
         assert surface.eta_grid[-1, 0] == ks.numeric_efficiency(cfg, cfg.sweep.energies[-1], 0.0).eta
         assert np.all(np.diff(surface.eta_grid[:, 0]) > 0.0)
 
@@ -612,6 +614,49 @@ class TestSweepSurface:
         etas = ks.efficiency_vs_delay(first, 5.125e-9, delays)
         assert np.array_equal(ks.efficiency_vs_delay(second, 5.125e-9, delays), etas)
         assert batches == [1]
+
+    def test_a_third_config_evicts_the_first_model(self, monkeypatch, cold_kernel_cache):
+        """Models are kept for the two most recently used configs: after
+        three configs run in turn, the later two find their kernels and the
+        first one's is computed again. Configs that differ only in theta have
+        kernels of the same bits, but share no kernel object."""
+        base = {"solver": {"steps": 8}, "grid": {"n_samples": 1024, "window_ps": 20.0}}
+        cfgs = [
+            ks.parse_config(json.dumps(dict(base, geometry={"theta_rad": theta})))
+            for theta in (0.5, 0.6, 0.7)
+        ]
+        batches = []
+        compute = ks.switch._kernel_batch
+
+        def counting(launch, *args):
+            batches.append(len(launch))
+            return compute(launch, *args)
+
+        monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
+        for cfg in cfgs:
+            ks.numeric_efficiency(cfg, 5e-9, 0.0)
+        assert batches == [1, 1, 1]
+        assert ks.switch._model.cache_info().currsize == 2
+        (second,), (third,) = (ks.switch._model(c).kernel_cache.values() for c in cfgs[1:])
+        assert second is not third
+        assert second.phase_vs_offset.tobytes() == third.phase_vs_offset.tobytes()
+        ks.numeric_efficiency(cfgs[2], 5e-9, 0.0)
+        assert batches == [1, 1, 1]
+        ks.numeric_efficiency(cfgs[0], 5e-9, 0.0)
+        assert batches == [1, 1, 1, 1]
+
+
+def test_no_module_level_cache_but_the_model():
+    """`switch` keeps what it derives from a config in `switch._model`
+    alone; `propagation` keeps only `_grid_axis`, whose callers pass a grid,
+    not a config. No other module-level dict, OrderedDict or lru_cache."""
+    found = [
+        (module.__name__, name)
+        for module in (ks.switch, ks.propagation)
+        for name, value in vars(module).items()
+        if not name.startswith("__") and (isinstance(value, dict) or hasattr(value, "cache_info"))
+    ]
+    assert sorted(found) == [("kerrswitch.propagation", "_grid_axis"), ("kerrswitch.switch", "_model")]
 
 
 TINY = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "tiny.json"
@@ -643,10 +688,11 @@ class TestLaunchFields:
         """Each energy's launch field is the window of the pump built on the
         whole grid, bit for bit, and that pump's own `_launch_window` search
         gives the cached window."""
-        shape, raw, m = ks.switch._pump_shape(cfg)
+        model = ks.switch._model(cfg)
+        shape, raw, m = model.pump_shape
         lo = (cfg.grid.n_samples - m) // 2
         bound = ks.propagation.WINDOW_MASS_BOUND
-        for e, field in zip(energies, ks.switch._launch_fields(cfg, energies)):
+        for e, field in zip(energies, model.launch_fields(energies)):
             pump = ks.switch._make_pump(cfg, e)
             intensity = np.abs(pump.samples) ** 2
             assert ks.propagation._launch_window(intensity, bound * intensity.sum()) == m, e
@@ -674,7 +720,7 @@ class TestLaunchFields:
         cfg = ks.parse_config(doc)
         energies = sorted({e for e in cfg.sweep.energies if e > 0.0} | {cfg.pump.energy})
         self.assert_same_as_whole_grid_pumps(cfg, energies)
-        assert ks.switch._pump_shape(cfg)[2] == window
+        assert ks.switch._model(cfg).pump_shape[2] == window
 
     def test_window_equals_each_pumps_own_search_on_drawn_grids(self):
         """As above, on drawn pump widths, grids and energies (the same
@@ -710,11 +756,12 @@ class TestLaunchFields:
 
 @pytest.fixture(scope="module")
 def cold_sweep_kernels(tmp_path_factory):
-    """Every kernel a cold default `cmd_sweep` leaves in the kernel cache."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ks.switch, "_kernel_cache", OrderedDict())
-        ks.cmd_sweep(ks.default_config(), tmp_path_factory.mktemp("cold_sweep"))
-        return list(ks.switch._kernel_cache.values())
+    """Every kernel a cold default `cmd_sweep` leaves in its model's kernel
+    cache."""
+    ks.switch._model.cache_clear()
+    cfg = ks.default_config()
+    ks.cmd_sweep(cfg, tmp_path_factory.mktemp("cold_sweep"))
+    return list(ks.switch._model(cfg).kernel_cache.values())
 
 
 def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kernels):
@@ -722,6 +769,7 @@ def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kerne
     bits as a copy expanded onto the whole grid."""
     grid = default_cfg.grid
     delays = default_cfg.sweep.delays
+    model = ks.switch._model(default_cfg)
     assert any(k.offsets.size < grid.n_samples for k in cold_sweep_kernels)
     for kernel in cold_sweep_kernels:
         on_grid = dataclasses.replace(
@@ -729,9 +777,9 @@ def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kerne
             offsets=grid.times,
             phase_vs_offset=ks.propagation.sample_xpm_phase(kernel, grid, 0.0),
         )
-        got = ks.switch._etas(default_cfg, [kernel], delays)
+        got = ks.switch._etas(model, [kernel], delays)
         assert got.max() > 0.0
-        assert np.array_equal(got, ks.switch._etas(default_cfg, [on_grid], delays))
+        assert np.array_equal(got, ks.switch._etas(model, [on_grid], delays))
 
 
 def test_cold_sweep_kernel_cache_holds_spans(default_cfg, cold_sweep_kernels):
