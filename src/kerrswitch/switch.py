@@ -88,8 +88,9 @@ _KERNEL_CACHE_SIZE = 64
 
 class _Model:
     """Everything this module derives from one config: the pump's launch
-    shape and fields, the signal's support and the pump kernels. Each is
-    computed when first asked for, then kept with the model (`_model`)."""
+    shape and fields, the signal's support and the pump kernels. The shape,
+    the support and each kernel are computed when first asked for and kept
+    here; `_model` finds a config's model."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
