@@ -13,9 +13,8 @@ zero delay means the walk-through is centered on the signal.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,24 +56,37 @@ class XpmKernel:
     curve is stored on its span: the grid samples where it is nonzero, plus
     one zero on each side (none past a grid end). It is zero off the span,
     so `_DelayedPhase` samples it at any delay to the same bits as on the
-    whole grid. ``offsets`` is the span's view of the grid's time axis,
-    one read-only array shared by every kernel on that grid.
+    whole grid. ``first`` is the grid index of the span's first sample.
 
-    ``window_samples`` is the size of the centred sub-window the pump ended
-    on, one of `_window_sizes` (``n_samples`` when it took the whole grid);
-    the window may have grown from a smaller one mid-fiber or after the last
-    slice. ``pump_window`` holds the output pump on that window, and
-    ``pump_final`` zero-pads it back onto ``grid`` when read.
+    ``pump_window`` holds the output pump on the centred sub-window it
+    ended on, one of `_window_sizes` (``n_samples`` when it took the whole
+    grid); the window may have grown from a smaller one mid-fiber or after
+    the last slice. ``pump_final`` zero-pads it back onto ``grid`` when
+    read. ``per_step_energy`` holds the pump energy at launch and after
+    each slice.
     """
 
-    offsets: np.ndarray = field(repr=False)
+    first: int
     phase_vs_offset: np.ndarray = field(repr=False)
     pump_window: np.ndarray = field(repr=False)
     grid: TimeGrid = field(repr=False)
     pump_wavelength: float
     per_step_energy: np.ndarray = field(repr=False)
-    steps: int
-    window_samples: int
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """The grid's sample times on the span."""
+        return self.grid.times[self.first : self.first + self.phase_vs_offset.size]
+
+    @property
+    def steps(self) -> int:
+        """The number of slices the pump was propagated over."""
+        return self.per_step_energy.size - 1
+
+    @property
+    def window_samples(self) -> int:
+        """The size of the window the pump ended on."""
+        return self.pump_window.size
 
     @property
     def pump_final(self) -> PulseEnvelope:
@@ -102,14 +114,6 @@ def _linear_factor(omega: np.ndarray, beta2: float, beta3: float, alpha: float, 
     # d/dt maps to +i*omega under numpy's FFT sign convention.
     exponent = (0.5j * beta2 * omega**2 - 1j * beta3 * omega**3 / 6.0 - 0.5 * alpha) * dz
     return np.exp(exponent)
-
-
-@lru_cache(maxsize=8)
-def _grid_axis(grid: TimeGrid) -> np.ndarray:
-    """``grid.times`` as one read-only array shared by every kernel on `grid`."""
-    times = grid.times
-    times.flags.writeable = False
-    return times
 
 
 def _add_shifted(
@@ -232,16 +236,15 @@ class _Window:
 
 def _split_step(
     launch: list[np.ndarray],
-    windows: Sequence[int],
     grid: TimeGrid,
     fiber: FiberSpec,
     steps: int,
     gamma: float,
-) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Propagate the time-domain pumps `launch` over `steps` slices, all
-    rows in lockstep with the Kerr coefficient `gamma`. Row r starts on the
-    centred window of ``windows[r]`` samples of `grid`, and ``launch[r]`` is
-    its launch field on that window. The fields are copied into their
+    rows in lockstep with the Kerr coefficient `gamma`. ``launch[r]`` is
+    row r's launch field on the centred window of `grid` it starts on, a
+    window of ``launch[r].size`` samples. The fields are copied into their
     window groups and `launch` is emptied, so no launch copy lives through
     the passes.
 
@@ -270,8 +273,8 @@ def _split_step(
     ``rotation.imag`` and then cos over the angle in place, so a window
     sample holds three arrays: the field, `intensity` and `rotation`.
 
-    Returns each row's final window size and its output field on that
-    window, a ``(b, n_samples)`` array whose row r sums row r's walked-off
+    Returns each row's output field on the window it ended on, the field's
+    size, a ``(b, n_samples)`` array whose row r sums row r's walked-off
     intensity over the slices, and each row's energy at launch and after
     each slice. The energies are sums of the time-domain |a|^2 the loop
     already has: the launch field, each slice midpoint's intensity (the
@@ -285,7 +288,7 @@ def _split_step(
     gamma_dz = gamma * dz
     # |half|^2 is this uniform factor: only loss changes the energy.
     half_loss = math.exp(-0.5 * fiber.alpha * dz)
-    windows = np.asarray(windows)
+    windows = np.array([a.size for a in launch])
     # sum(|a|^2) of each row at launch, at the midpoints of slices 1 to
     # steps - 1, and at the end.
     sums = np.empty((windows.size, steps + 1))
@@ -352,13 +355,12 @@ def _split_step(
             g.a *= g.rotation
             _add_shifted(phase, g.intensity, shift, g.rotation.imag, g.lo, g.rows)
 
-    out_windows = [0] * windows.size
     fields = [None] * windows.size
     for g in groups.values():
         for j, r in enumerate(g.rows):
-            out_windows[r], fields[r] = g.m, g.a[j]
+            fields[r] = g.a[j]
     sums[:, 1:steps] /= half_loss
-    return out_windows, fields, phase, sums * grid.dt
+    return fields, phase, sums * grid.dt
 
 
 def compute_xpm_kernels(
@@ -409,7 +411,7 @@ def compute_xpm_kernels(
             or `steps` is below 8.
     """
     grid = wavelength = None
-    launch, windows = [], []
+    launch = []
     for p in pumps:
         if grid is None:
             grid, wavelength = p.grid, p.center_wavelength
@@ -421,13 +423,11 @@ def compute_xpm_kernels(
         m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
         lo = (grid.n_samples - m) // 2
         launch.append(p.samples[lo : lo + m].copy())
-        windows.append(m)
-    return _kernel_batch(launch, windows, grid, wavelength, fiber, steps, signal_wavelength)
+    return _kernel_batch(launch, grid, wavelength, fiber, steps, signal_wavelength)
 
 
 def _kernel_batch(
     launch: list[np.ndarray],
-    windows: Sequence[int],
     grid: TimeGrid,
     wavelength: float,
     fiber: FiberSpec,
@@ -435,10 +435,10 @@ def _kernel_batch(
     signal_wavelength: float,
 ) -> list[XpmKernel]:
     """The kernels of the pumps at `wavelength` whose launch fields are
-    ``launch[r]`` on the centred windows of ``windows[r]`` samples of
-    `grid`, each window the one `_launch_window` gives the pump; one kernel
-    per field, in order, as `compute_xpm_kernels` describes. `launch` is
-    emptied once the split-step's window groups are seeded.
+    ``launch[r]``, each on the centred window of `grid` that
+    `_launch_window` gives the pump, of ``launch[r].size`` samples; one
+    kernel per field, in order, as `compute_xpm_kernels` describes.
+    `launch` is emptied once the split-step's window groups are seeded.
 
     Raises:
         ValidationError: if `steps` is below 8.
@@ -453,25 +453,20 @@ def _kernel_batch(
         fiber.n2, signal_wavelength, fiber.a_eff
     )
     gamma = nonlinear_coefficient(fiber.n2, wavelength, fiber.a_eff)
-    windows, fields, phase, step_energy = _split_step(
-        launch, windows, grid, fiber, steps, gamma
-    )
-    axis = _grid_axis(grid)
+    fields, phase, step_energy = _split_step(launch, grid, fiber, steps, gamma)
     kernels = []
-    for r, (m, a) in enumerate(zip(windows, fields)):
+    for r, a in enumerate(fields):
         nonzero = np.flatnonzero(phase[r])
         if not nonzero.size:  # no pump energy or no Kerr effect
             nonzero = np.array([n // 2])
         lo, hi = max(int(nonzero[0]) - 1, 0), min(int(nonzero[-1]) + 2, n)
         kernels.append(XpmKernel(
-            offsets=axis[lo:hi],
+            first=lo,
             phase_vs_offset=phase[r, lo:hi] * (xpm_coef * dz),
             pump_window=a.copy(),
             grid=grid,
             pump_wavelength=wavelength,
             per_step_energy=step_energy[r],
-            steps=steps,
-            window_samples=m,
         ))
     return kernels
 
@@ -488,9 +483,9 @@ def compute_xpm_kernel(
 
 class _DelayedPhase:
     """One kernel's phase on `size` consecutive samples of its grid, from
-    time `start`, for a pump launched at any delay.
+    grid index `first`, for a pump launched at any delay.
 
-    The signal's samples and the span's offsets lie on one grid, so a delay
+    The samples and the kernel's span lie on one grid, so a delay
     tau = (whole + frac) * dt with 0 <= frac < 1 moves every sample by the
     same two taps: sample i gets ``near + frac * (far - near)``, where `near`
     is the span's value `whole` samples before it and `far` the value one
@@ -504,7 +499,7 @@ class _DelayedPhase:
     where a span ends on a grid end with a nonzero phase.
     """
 
-    def __init__(self, kernel: XpmKernel, start: float, size: int):
+    def __init__(self, kernel: XpmKernel, first: int, size: int):
         span = kernel.phase_vs_offset
         self.dt = kernel.grid.dt
         # Padded index of the span's first sample; rows 0 and 1 are padding.
@@ -513,7 +508,7 @@ class _DelayedPhase:
         phase[self.lead : self.lead + span.size] = span
         self.taps = sliding_window_view(phase, size)
         # Row of the near taps at delay 0.
-        self.base = int(round((start - kernel.offsets[0]) / self.dt)) + self.lead
+        self.base = first - kernel.first + self.lead
         self.span = span.size
         self.ends_on_grid_end = bool(span[0] != 0.0 or span[-1] != 0.0)
 
@@ -549,9 +544,7 @@ def sample_xpm_phase(kernel: XpmKernel, grid: TimeGrid, delay: float) -> np.ndar
     if grid != kernel.grid:
         raise GridMismatch("the phase is sampled on the kernel's own grid")
     out = np.empty((1, grid.n_samples))
-    return _DelayedPhase(kernel, float(grid.times[0]), grid.n_samples)(
-        np.array([float(delay)]), out
-    )[0]
+    return _DelayedPhase(kernel, 0, grid.n_samples)(np.array([float(delay)]), out)[0]
 
 
 def propagate_signal_linear(signal: PulseEnvelope, fiber: FiberSpec) -> PulseEnvelope:

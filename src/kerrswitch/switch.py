@@ -90,7 +90,8 @@ class _Model:
     """Everything this module derives from one config: the pump's launch
     shape and fields, the signal's support and the pump kernels. The shape,
     the support and each kernel are computed when first asked for and kept
-    here; `_model` finds a config's model."""
+    here, each placed on ``config.grid`` by its size alone (a centred
+    window) or by its first grid index; `_model` finds a config's model."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -98,13 +99,13 @@ class _Model:
         self.kernel_cache: OrderedDict[tuple[float, int], XpmKernel] = OrderedDict()
 
     @cached_property
-    def pump_shape(self) -> tuple[np.ndarray, float, int]:
-        """(shape, raw, m): the pump's intensity shape on its launch window of
-        `m` samples, centred in ``config.grid``, and the discrete energy `raw`
-        of the whole-grid shape (see `core._pulse_shape`).
+    def pump_shape(self) -> tuple[np.ndarray, float]:
+        """(shape, raw): the pump's intensity shape on its launch window,
+        centred in ``config.grid``, and the discrete energy `raw` of the
+        whole-grid shape (see `core._pulse_shape`).
 
         The pump at energy E has the samples sqrt(shape * (E / raw)) there, the
-        same bits as the window of `_make_pump`'s pulse. `m` is the
+        same bits as the window of `_make_pump`'s pulse. The window is the
         `_launch_window` of the whole-grid shape. That of a pulse at energy E
         searches |samples|^2 instead, each sample within an ulp or two of
         shape * (E / raw), so the two could part only for a pump whose energy
@@ -117,7 +118,7 @@ class _Model:
         lo = (grid.n_samples - m) // 2
         shape = intensity[lo : lo + m].copy()
         shape.flags.writeable = False
-        return shape, raw, m
+        return shape, raw
 
     def launch_fields(self, energies: list[float]) -> list[np.ndarray]:
         """The launch field of the pump at each of `energies` (each > 0) on its
@@ -128,7 +129,7 @@ class _Model:
             NegativeEnergy: if an energy is negative.
             ValidationError: if a field is not finite.
         """
-        shape, raw, _ = self.pump_shape
+        shape, raw = self.pump_shape
         fields = []
         for e in energies:
             if e < 0.0:
@@ -161,7 +162,6 @@ class _Model:
             if missing:
                 computed = _kernel_batch(
                     self.launch_fields([e for e, _ in missing]),
-                    [self.pump_shape[2]] * len(missing),
                     config.grid,
                     config.pump.center_wavelength,
                     config.fiber,
@@ -178,13 +178,14 @@ class _Model:
                 yield None if e == 0.0 else next(kernels)
 
     @cached_property
-    def signal_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, weights) of the propagated signal's intensity on its support.
+    def signal_support(self) -> tuple[int, np.ndarray]:
+        """(first, weights): the propagated signal's intensity on its support,
+        whose first sample is grid index `first`.
 
         The support is the contiguous run of grid samples left after trimming
         each end by at most half of ``WINDOW_MASS_BOUND`` of the total weight, so
         an efficiency summed over it differs from the full-grid sum only by the
-        weight it leaves out. Both arrays are read-only and shared by every call
+        weight it leaves out. `weights` is a read-only copy, shared by every call
         with the model.
         """
         config = self.config
@@ -196,9 +197,9 @@ class _Model:
         hi = weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), cut, side="right"))
         left_out = weights[:lo].sum() + weights[hi:].sum()
         assert left_out <= WINDOW_MASS_BOUND * total, "signal support drops too much weight"
-        times, weights = config.grid.times[lo:hi], weights[lo:hi]
-        times.flags.writeable = weights.flags.writeable = False
-        return times, weights
+        weights = weights[lo:hi].copy()
+        weights.flags.writeable = False
+        return lo, weights
 
 
 @lru_cache(maxsize=2)
@@ -259,17 +260,17 @@ def _etas(
     `efficiency_from_phase` does. An entry is the same bits whatever delays
     share its block, so a row equals the one-delay calls.
     """
-    times, weights = model.signal_support
+    first, weights = model.signal_support
     delays = np.asarray(delays, dtype=float)
-    block = max(1, _ETA_BLOCK // times.size)
+    block = max(1, _ETA_BLOCK // weights.size)
     scale = math.sin(2.0 * model.config.geometry.theta) ** 2
     total = weights.sum()
-    phase = np.empty((min(block, delays.size), times.size))
+    phase = np.empty((min(block, delays.size), weights.size))
     rows = []
     for kernel in kernels:
         row = np.zeros(delays.size)
         if kernel is not None:
-            sample = _DelayedPhase(kernel, float(times[0]), times.size)
+            sample = _DelayedPhase(kernel, first, weights.size)
             for start in range(0, delays.size, block):
                 taus = delays[start : start + block]
                 rotated = _rotated(weights, sample(taus, phase[: taus.size]))

@@ -106,9 +106,9 @@ def test_cmd_sweep_computes_each_kernel_once(monkeypatch, tmp_path, cold_kernel_
     batches = []
     compute = ks.switch._kernel_batch
 
-    def counting(launch, windows, grid, wavelength, fiber, steps, signal_wavelength):
+    def counting(launch, grid, wavelength, fiber, steps, signal_wavelength):
         batches.append([(a.tobytes(), steps) for a in launch])
-        return compute(launch, windows, grid, wavelength, fiber, steps, signal_wavelength)
+        return compute(launch, grid, wavelength, fiber, steps, signal_wavelength)
 
     monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
     ks.cmd_sweep(cfg, tmp_path)

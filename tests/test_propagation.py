@@ -343,14 +343,12 @@ class TestDelayedPhase:
         """A kernel on grid samples lo..hi - 1, nonzero up to both span ends."""
         rng = np.random.default_rng(lo * 100 + hi)
         return ks.XpmKernel(
-            offsets=self.GRID.times[lo:hi],
+            first=lo,
             phase_vs_offset=rng.uniform(0.5, 2.0, hi - lo),
             pump_window=np.zeros(64, dtype=np.complex128),
             grid=self.GRID,
             pump_wavelength=PUMP_WL,
             per_step_energy=np.zeros(9),
-            steps=8,
-            window_samples=64,
         )
 
     SHIFTS = [0.0, 0.25, -2.75, 10.5, 0.0078125, 3.0, -7.0, 31.5, -31.75, 63.0, -63.0,
@@ -375,7 +373,7 @@ class TestDelayedPhase:
         kernel = self.kernel(*span)
         delays = np.array(self.SHIFTS)
         first, size = 17, 25
-        sample = ks.propagation._DelayedPhase(kernel, float(self.GRID.times[first]), size)
+        sample = ks.propagation._DelayedPhase(kernel, first, size)
         block = sample(delays, np.empty((delays.size, size)))
         for tau, row in zip(delays, block):
             whole = ks.propagation.sample_xpm_phase(kernel, self.GRID, tau)
@@ -442,14 +440,19 @@ def test_kernel_matches_reference_ssfm(walkoff):
     assert np.abs(kernel.per_step_energy - step_energy).max() <= 1e-12 * step_energy.max()
 
 
-def test_kernels_share_one_read_only_time_axis():
+def test_kernel_reads_its_span_steps_and_window_off_its_arrays():
+    """A kernel stores its span's first grid index; its offsets are the
+    grid's times there, bit for bit, its step count is that of its step
+    energies, and its window size is that of its output pump."""
     pump, _ = pulses()
     f = fiber(n2=2.6e-20)
-    k1 = ks.compute_xpm_kernel(pump, f, 16, SIG_WL)
-    k2 = ks.compute_xpm_kernel(pump, f, 32, SIG_WL)
-    axis = ks.propagation._grid_axis(pump.grid)
-    assert k1.offsets.base is axis and k2.offsets.base is axis
-    assert not k1.offsets.flags.writeable and not k2.offsets.flags.writeable
+    for steps in (16, 32):
+        kernel = ks.compute_xpm_kernel(pump, f, steps, SIG_WL)
+        size = kernel.phase_vs_offset.size
+        assert 0 < kernel.first and kernel.first + size < pump.grid.n_samples
+        assert kernel.offsets.tobytes() == pump.grid.times[kernel.first : kernel.first + size].tobytes()
+        assert kernel.steps == steps
+        assert kernel.window_samples == kernel.pump_window.size < pump.grid.n_samples
 
 
 def _kernel_vs_reference(pump, f, steps):
@@ -541,9 +544,9 @@ def runs(monkeypatch):
     calls = []
     split_step = ks.propagation._split_step
 
-    def counting(launch, windows, *args):
-        calls.append(list(windows))
-        return split_step(launch, windows, *args)
+    def counting(launch, *args):
+        calls.append([a.size for a in launch])
+        return split_step(launch, *args)
 
     monkeypatch.setattr(ks.propagation, "_split_step", counting)
     return calls
@@ -924,8 +927,8 @@ class TestKernelBatch:
 
 @pytest.fixture
 def split_steps(monkeypatch):
-    """What each `_split_step` call returned: the output window sizes and
-    fields, the full-grid phase rows and the step energies."""
+    """What each `_split_step` call returned: the output fields, the
+    full-grid phase rows and the step energies."""
     calls = []
     split_step = ks.propagation._split_step
 
@@ -967,12 +970,12 @@ class TestKernelStorage:
         return pumps, kernels, split_steps[0], whole
 
     def test_span_holds_every_nonzero_sample(self, stored):
-        pumps, kernels, (_, _, phase, _), whole = stored
+        pumps, kernels, (_, phase, _), whole = stored
         g = pumps[0].grid
         n = g.n_samples
         for r, kernel in enumerate(kernels):
-            lo = int(np.flatnonzero(g.times == kernel.offsets[0])[0])
-            hi = lo + kernel.offsets.size
+            lo = kernel.first
+            hi = lo + kernel.phase_vs_offset.size
             assert np.array_equal(kernel.offsets, g.times[lo:hi])
             if whole:
                 assert (lo, hi) == (0, n)
@@ -986,10 +989,11 @@ class TestKernelStorage:
             assert hi == n or (stored_phase[-1] == 0.0 and stored_phase[-2] != 0.0)
 
     def test_pump_final_is_the_zero_padded_window(self, stored):
-        pumps, kernels, (windows, fields, _, _), _ = stored
+        pumps, kernels, (fields, _, _), _ = stored
         g = pumps[0].grid
         n = g.n_samples
-        for pump, kernel, m, field in zip(pumps, kernels, windows, fields, strict=True):
+        for pump, kernel, field in zip(pumps, kernels, fields, strict=True):
+            m = field.size
             assert kernel.window_samples == m
             assert np.array_equal(kernel.pump_window, field)
             want = np.zeros(n, dtype=np.complex128)

@@ -2,8 +2,10 @@
 temporal metrics."""
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import threading
 import tracemalloc
 from pathlib import Path
@@ -385,7 +387,7 @@ def test_row_equals_direct_calls_on_a_wide_signal_support():
     stacked multi-delay einsum would round differently; each entry of the
     row still equals the one-delay call bit for bit."""
     cfg = ks.parse_config(json.dumps({"signal": {"fwhm_fs": 4000.0}, "solver": {"steps": 16}}))
-    assert ks.switch._model(cfg).signal_support[0].size > 8192
+    assert ks.switch._model(cfg).signal_support[1].size > 8192
     delays = np.asarray(cfg.sweep.delays)
     assert delays.size == 121
     row = ks.efficiency_vs_delay(cfg, 8e-9, delays)
@@ -398,7 +400,7 @@ def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
     """With blocks of 50 delays, the 121 delays take three blocks, the last
     one partial; each entry still equals the one-delay call bit for bit."""
     cfg = ks.parse_config(json.dumps({"solver": {"steps": 16}}))
-    support = ks.switch._model(cfg).signal_support[0].size
+    support = ks.switch._model(cfg).signal_support[1].size
     monkeypatch.setattr(ks.switch, "_ETA_BLOCK", 50 * support)
     blocks = []
     evaluate = ks.switch._rotated
@@ -419,7 +421,8 @@ def test_row_equals_direct_calls_across_delay_blocks(monkeypatch):
 def _interp_row(cfg, kernel, delays):
     """Efficiency of `kernel` at each of `delays` with the phase sampled by
     np.interp on the span, one delay at a time."""
-    times, weights = ks.switch._model(cfg).signal_support
+    first, weights = ks.switch._model(cfg).signal_support
+    times = cfg.grid.times[first : first + weights.size]
     return np.array([
         ks.efficiency_from_phase(
             weights,
@@ -648,15 +651,27 @@ class TestSweepSurface:
 
 def test_no_module_level_cache_but_the_model():
     """`switch` keeps what it derives from a config in `switch._model`
-    alone; `propagation` keeps only `_grid_axis`, whose callers pass a grid,
-    not a config. No other module-level dict, OrderedDict or lru_cache."""
+    alone, and `propagation` keeps nothing: neither holds another
+    module-level dict, OrderedDict or lru_cache. No module of the package
+    holds another lru_cache, at module level or on a class (`config_io`'s
+    constant dicts are no cache)."""
     found = [
         (module.__name__, name)
         for module in (ks.switch, ks.propagation)
         for name, value in vars(module).items()
         if not name.startswith("__") and (isinstance(value, dict) or hasattr(value, "cache_info"))
     ]
-    assert sorted(found) == [("kerrswitch.propagation", "_grid_axis"), ("kerrswitch.switch", "_model")]
+    assert found == [("kerrswitch.switch", "_model")]
+    modules = [ks] + [
+        importlib.import_module(f"kerrswitch.{m.name}") for m in pkgutil.iter_modules(ks.__path__)
+    ]
+    assert len(modules) == len(list(Path(ks.__file__).parent.glob("*.py")))
+    caches = set()
+    for module in modules:
+        for value in vars(module).values():
+            held = [value, *vars(value).values()] if isinstance(value, type) else [value]
+            caches.update((v.__module__, v.__qualname__) for v in held if hasattr(v, "cache_info"))
+    assert caches == {("kerrswitch.switch", "_model")}
 
 
 TINY = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "tiny.json"
@@ -689,7 +704,8 @@ class TestLaunchFields:
         whole grid, bit for bit, and that pump's own `_launch_window` search
         gives the cached window."""
         model = ks.switch._model(cfg)
-        shape, raw, m = model.pump_shape
+        shape, raw = model.pump_shape
+        m = shape.size
         lo = (cfg.grid.n_samples - m) // 2
         bound = ks.propagation.WINDOW_MASS_BOUND
         for e, field in zip(energies, model.launch_fields(energies)):
@@ -720,7 +736,7 @@ class TestLaunchFields:
         cfg = ks.parse_config(doc)
         energies = sorted({e for e in cfg.sweep.energies if e > 0.0} | {cfg.pump.energy})
         self.assert_same_as_whole_grid_pumps(cfg, energies)
-        assert ks.switch._model(cfg).pump_shape[2] == window
+        assert ks.switch._model(cfg).pump_shape[0].size == window
 
     def test_window_equals_each_pumps_own_search_on_drawn_grids(self):
         """As above, on drawn pump widths, grids and energies (the same
@@ -774,7 +790,7 @@ def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kerne
     for kernel in cold_sweep_kernels:
         on_grid = dataclasses.replace(
             kernel,
-            offsets=grid.times,
+            first=0,
             phase_vs_offset=ks.propagation.sample_xpm_phase(kernel, grid, 0.0),
         )
         got = ks.switch._etas(model, [kernel], delays)
@@ -785,16 +801,42 @@ def test_stored_kernels_give_the_grid_kernels_etas(default_cfg, cold_sweep_kerne
 def test_cold_sweep_kernel_cache_holds_spans(default_cfg, cold_sweep_kernels):
     """The 32 kernels of a cold default sweep hold under a quarter of the
     24 bytes per grid sample each that a full-grid phase and output pump
-    would take. Their time axes are views of the one shared grid axis; the
-    rest are their own arrays, not views that keep a batch's arrays alive."""
+    would take. Their phases and pumps are their own arrays, not views that
+    keep a batch's arrays alive."""
     n = default_cfg.grid.n_samples
-    axis = ks.propagation._grid_axis(default_cfg.grid)
     assert len(cold_sweep_kernels) == 32
-    assert all(k.offsets.base is axis for k in cold_sweep_kernels)
     assert all(k.phase_vs_offset.base is None and k.pump_window.base is None
                for k in cold_sweep_kernels)
     held = sum(k.phase_vs_offset.nbytes + k.pump_window.nbytes for k in cold_sweep_kernels)
     assert held < 32 * 24 * n / 4
+
+
+def test_cold_sweep_kernels_read_their_fields_off_their_arrays(default_cfg, cold_sweep_kernels):
+    """Each kernel of a cold default sweep is placed by its span's first
+    grid index: its offsets are the grid's times on the span, bit for bit.
+    Its window size is its output pump's, and its step count is that of its
+    step energies: the 31 ladder and refinement kernels at ``solver.steps``,
+    the convergence check's kernel at twice that."""
+    grid, steps = default_cfg.grid, default_cfg.solver.steps
+    for k in cold_sweep_kernels:
+        size = k.phase_vs_offset.size
+        assert 0 <= k.first and k.first + size <= grid.n_samples
+        assert k.offsets.tobytes() == grid.times[k.first : k.first + size].tobytes()
+        assert k.window_samples == k.pump_window.size
+    assert sorted(k.steps for k in cold_sweep_kernels) == [steps] * 31 + [2 * steps]
+
+
+def test_signal_support_holds_a_copy_of_its_weights(default_cfg):
+    """The default signal's support starts at grid index 7353 and holds
+    1679 weights: the propagated signal's whole-grid intensity there, bit
+    for bit, in a read-only array of their own, which keeps no whole-grid
+    array alive."""
+    first, weights = ks.switch._model(default_cfg).signal_support
+    assert (first, weights.size) == (7353, 1679)
+    assert weights.base is None and not weights.flags.writeable
+    signal = ks.switch._make_signal(default_cfg)
+    whole = np.abs(ks.propagation.propagate_signal_linear(signal, default_cfg.fiber).samples) ** 2
+    assert weights.tobytes() == whole[first : first + weights.size].tobytes()
 
 
 def test_convergence_check_passes_at_defaults(default_cfg):
