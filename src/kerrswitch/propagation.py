@@ -273,8 +273,8 @@ def _split_step(
     ``rotation.imag`` and then cos over the angle in place, so a window
     sample holds three arrays: the field, `intensity` and `rotation`.
 
-    Returns each row's output field on the window it ended on, the field's
-    size, a ``(b, n_samples)`` array whose row r sums row r's walked-off
+    Returns each row's output field on the window it ended on (of the
+    field's size), a ``(b, n_samples)`` array whose row r sums row r's walked-off
     intensity over the slices, and each row's energy at launch and after
     each slice. The energies are sums of the time-domain |a|^2 the loop
     already has: the launch field, each slice midpoint's intensity (the
