@@ -17,7 +17,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import C_LIGHT, FiberSpec, PulseEnvelope, TimeGrid, energy
 from .errors import GridMismatch, ValidationError, ZeroEnergy
@@ -55,8 +54,9 @@ class XpmKernel:
     advection enters only through the difference of the two time axes. The
     curve is stored on its span: the grid samples where it is nonzero, plus
     one zero on each side (none past a grid end). It is zero off the span,
-    so `_DelayedPhase` samples it at any delay to the same bits as on the
-    whole grid. ``first`` is the grid index of the span's first sample.
+    so `_add_shifted` samples it at any delay, on any run of grid samples,
+    to the same bits as on the whole grid. ``first`` is the grid index of
+    the span's first sample.
 
     ``pump_window`` holds the output pump on the centred sub-window it
     ended on, one of `_window_sizes` (``n_samples`` when it took the whole
@@ -125,26 +125,33 @@ def _add_shifted(
     rows: slice | np.ndarray = ...,
 ) -> None:
     """Add `values`, placed at index `offset` of `acc` and delayed by `shift`
-    samples, to `acc`, zero-filled, along the last axis.
+    samples, to `acc`, zero-filled, along the last axis. The one
+    fractional-sample shift of the package: the split-step's walk-off, and
+    the delayed kernel phase of `sample_xpm_phase` and `switch._etas`.
 
     Equals ``acc += np.interp(k - offset - shift, j, values, left=0, right=0)``
     on the sample indices k of `acc` and j of `values`: one integer offset plus
-    a two-tap linear blend. Output samples whose source index falls outside
-    `values` get nothing, and so do shifts past the ends of `acc`, so a shift
-    never wraps around. Stacked rows (``values`` of shape ``(b, m)`` into
-    ``acc`` of shape ``(b, n)``) are blended and summed each on its own, with
-    the same result as one call per row; `rows` picks the rows of `acc` they
-    go to (a slice, or an index array without repeats). `work` is scratch at
-    least the shape of `values`.
+    a two-tap linear blend. An output sample gets nothing unless its near
+    tap lies on `values`, and its far tap too where it is weighted, which is
+    np.interp's zero fill, so a shift never wraps around. A shift outside
+    ``(-m - offset, n - offset)`` for `values` of m samples and `acc` of n
+    adds nothing and returns first; so do NaN and infinite shifts. Stacked
+    rows (``values`` of shape ``(b, m)`` into ``acc`` of shape ``(b, n)``)
+    are blended and summed each on its own, with the same result as one
+    call per row; `rows` picks the rows of `acc` they go to (a slice, or an
+    index array without repeats). `work` is scratch at least the shape of
+    `values`.
     """
     m, n = values.shape[-1], acc.shape[-1]
+    if not -m - offset < shift < n - offset:
+        return
     whole = math.floor(shift)
     frac = shift - whole
     whole += offset
     if frac == 0.0:
+        # In reach, a whole shift lands at least one sample.
         lo, hi = max(whole, 0), min(whole + m, n)
-        if lo < hi:
-            acc[rows, lo:hi] += values[..., lo - whole : hi - whole]
+        acc[rows, lo:hi] += values[..., lo - whole : hi - whole]
         return
     # Sample j lies between source taps j - whole - 1 (weight frac) and
     # j - whole (weight 1 - frac); both must be inside `values`.
@@ -481,70 +488,21 @@ def compute_xpm_kernel(
     return compute_xpm_kernels([pump], fiber, steps, signal_wavelength)[0]
 
 
-class _DelayedPhase:
-    """One kernel's phase on `size` consecutive samples of its grid, from
-    grid index `first`, for a pump launched at any delay.
-
-    The samples and the kernel's span lie on one grid, so a delay
-    tau = (whole + frac) * dt with 0 <= frac < 1 moves every sample by the
-    same two taps: sample i gets ``near + frac * (far - near)``, where `near`
-    is the span's value `whole` samples before it and `far` the value one
-    sample further. `near` and `far` are two shifted rows of one
-    `sliding_window_view` of the span, zero-padded by `size` on each side
-    (one more before it). A delay whose shifted span misses the `size`
-    samples reads two rows of padding, exactly 0, so the padding does not
-    grow with the delay. This is ``np.interp(t - tau, offsets, phase,
-    left=0, right=0)`` to within roundoff: a sample whose taps are not both
-    on the span gets 0 (only its near tap at frac = 0), which matters only
-    where a span ends on a grid end with a nonzero phase.
-    """
-
-    def __init__(self, kernel: XpmKernel, first: int, size: int):
-        span = kernel.phase_vs_offset
-        self.dt = kernel.grid.dt
-        # Padded index of the span's first sample; rows 0 and 1 are padding.
-        self.lead = size + 1
-        phase = np.zeros(self.lead + span.size + size)
-        phase[self.lead : self.lead + span.size] = span
-        self.taps = sliding_window_view(phase, size)
-        # Row of the near taps at delay 0.
-        self.base = first - kernel.first + self.lead
-        self.span = span.size
-        self.ends_on_grid_end = bool(span[0] != 0.0 or span[-1] != 0.0)
-
-    def __call__(self, delays: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the phase at each of `delays` into the rows of `out`, a
-        ``(delays.size, size)`` array, and return it."""
-        shifts = delays / self.dt
-        whole = np.floor(shifts)
-        first = self.base - whole
-        hit = (first >= 2.0) & (first < self.taps.shape[0])
-        rows = np.where(hit, first, 1.0).astype(np.intp)
-        frac = np.where(hit, shifts - whole, 0.0)[:, None]
-        near = self.taps[rows]
-        np.subtract(self.taps[rows - 1], near, out=out)
-        out *= frac
-        out += near
-        if self.ends_on_grid_end:
-            # Zero each sample whose near tap, or far tap where it is
-            # weighted, lies off the span, as np.interp does.
-            tap = np.arange(out.shape[-1]) + rows[:, None]
-            out[(tap < self.lead + (frac > 0.0)) | (tap >= self.lead + self.span)] = 0.0
-        return out
-
-
 def sample_xpm_phase(kernel: XpmKernel, grid: TimeGrid, delay: float) -> np.ndarray:
-    """Differential phase profile on `grid` for a pump delayed by `delay`,
-    sampled by `_DelayedPhase`; at a delay of 0 it is the span, copied onto
-    the grid exactly.
+    """Differential phase profile on `grid` for a pump delayed by `delay`:
+    the span shifted by ``delay / dt`` samples onto the zeroed grid by
+    `_add_shifted`. At a delay of 0 it is the span, copied onto the grid
+    exactly.
 
     Raises:
         GridMismatch: if `grid` is not the kernel's grid.
     """
     if grid != kernel.grid:
         raise GridMismatch("the phase is sampled on the kernel's own grid")
-    out = np.empty((1, grid.n_samples))
-    return _DelayedPhase(kernel, 0, grid.n_samples)(np.array([float(delay)]), out)[0]
+    span = kernel.phase_vs_offset
+    out = np.zeros(grid.n_samples)
+    _add_shifted(out, span, float(delay) / grid.dt, np.empty(span.size), kernel.first)
+    return out
 
 
 def propagate_signal_linear(signal: PulseEnvelope, fiber: FiberSpec) -> PulseEnvelope:

@@ -21,12 +21,12 @@ from .errors import (
     ValidationError,
 )
 # `compute_xpm_kernel` and `sample_xpm_phase` are not called here (kernels
-# come from `_kernel_batch`, phases from `_DelayedPhase`); perfbench's
+# come from `_kernel_batch`, phases from `_add_shifted`); perfbench's
 # tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
-    _DelayedPhase,
+    _add_shifted,
     _kernel_batch,
     _launch_window,
     compute_xpm_kernel,
@@ -253,12 +253,14 @@ def _etas(
     each of `delays`, as a (kernels, delays) array; every simulated
     efficiency is computed here.
 
-    Each kernel's phase is sampled on the signal's support by
-    `_DelayedPhase` for a block of delays at once, into one reused
-    ``(delays, support)`` buffer of at most `_ETA_BLOCK` values (one row,
-    at least), and `_rotated` sums each of its rows in place, as
-    `efficiency_from_phase` does. An entry is the same bits whatever delays
-    share its block, so a row equals the one-delay calls.
+    Each kernel's phase is sampled on the signal's support a block of
+    delays at a time, into one reused ``(delays, support)`` buffer of at
+    most `_ETA_BLOCK` values (one row, at least): the block is zeroed and
+    `_add_shifted` adds the span to each row, shifted by its delay over
+    ``dt``, as `sample_xpm_phase` does on the whole grid. `_rotated` then
+    sums each row in place, as `efficiency_from_phase` does. An entry is
+    the same bits whatever delays share its block, so a row equals the
+    one-delay calls.
     """
     first, weights = model.signal_support
     delays = np.asarray(delays, dtype=float)
@@ -270,11 +272,15 @@ def _etas(
     for kernel in kernels:
         row = np.zeros(delays.size)
         if kernel is not None:
-            sample = _DelayedPhase(kernel, first, weights.size)
+            span, dt = kernel.phase_vs_offset, kernel.grid.dt
+            work = np.empty(span.size)
             for start in range(0, delays.size, block):
-                taus = delays[start : start + block]
-                rotated = _rotated(weights, sample(taus, phase[: taus.size]))
-                row[start : start + block] = scale * (rotated / total)
+                taus = delays[start : start + block].tolist()
+                out = phase[: len(taus)]
+                out.fill(0.0)
+                for i, tau in enumerate(taus):
+                    _add_shifted(out[i], span, tau / dt, work, kernel.first - first)
+                row[start : start + block] = scale * (_rotated(weights, out) / total)
         rows.append(row)
     return np.array(rows).reshape(len(rows), delays.size)
 

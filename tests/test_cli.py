@@ -488,6 +488,30 @@ class TestCliMain:
         assert code == 3
         assert "step-doubling residual" in capsys.readouterr().err
 
+    def test_huge_delays_exit_cleanly_without_warnings(self, tmp_path, capsys, default_cfg):
+        """Delays of ±1e307 ps overflow the shift in samples to infinity.
+        `sweep` and `fock` exit 0 with nothing on stderr, and every entry at
+        those delays is exactly 0 (the exact photon splits too); so is η at
+        NaN, ±inf and ±1e300 s."""
+        doc = {"sweep": {"delays_ps": [1e307, -1e307, 0.0]}}
+        cfg_path = self.write_config(tmp_path, doc)
+        for command in ("sweep", "fock"):
+            assert main([command, "--config", cfg_path, "--out", str(tmp_path / command)]) == 0
+            assert capsys.readouterr().err == ""
+        surface = read_csv(tmp_path / "sweep" / "surface.csv")
+        assert [row[0] for row in surface[1:]] == ["1e+307", "-1e+307", "0"]
+        for row in surface[1:3]:
+            assert {float(cell) for cell in row[1:]} == {0.0}
+        assert max(float(cell) for cell in surface[3][1:]) > 0.99
+        curves = json.loads((tmp_path / "fock" / "fock_probs.json").read_text())["curves"]
+        # The Monte Carlo adds detector noise; the exact split is η's alone.
+        switched = [c["probability"] for c in curves if c["kind"] == "exact" and c["n_S"] > 0]
+        assert switched and all(p[:2] == [0.0, 0.0] for p in switched)
+        assert max(p[2] for p in switched) > 0.5
+        delays = np.array([math.nan, math.inf, -math.inf, 1e300, -1e300])
+        row = ks.efficiency_vs_delay(default_cfg, default_cfg.pump.energy, delays)
+        assert row.tolist() == [0.0] * delays.size
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         blocker = tmp_path / "blocked"

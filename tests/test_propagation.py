@@ -328,9 +328,46 @@ class TestShiftedAccumulate:
             ks.propagation._add_shifted(expected[r], row, shift, np.empty(self.N), 64)
         assert np.array_equal(acc, expected)
 
+    @pytest.mark.parametrize("offset", [0, 5, 64, 130])
+    @pytest.mark.parametrize(
+        "edge",
+        ["-inf", "inf", "nan", "low", "low+ulp", "low+1", "high", "high-ulp", "high-1"],
+    )
+    def test_reach_limits(self, offset, edge):
+        """Shifts at the reach limits -m - offset and n - offset, one ulp and
+        one sample inside each, and NaN and infinite shifts. Where nothing
+        lands the accumulator is untouched; elsewhere np.interp's zero fill
+        holds."""
+        m, n = self.N, 4 * self.N
+        low, high = float(-m - offset), float(n - offset)
+        shift = {
+            "-inf": -math.inf, "inf": math.inf, "nan": math.nan,
+            "low": low, "low+ulp": math.nextafter(low, math.inf), "low+1": low + 1.0,
+            "high": high, "high-ulp": math.nextafter(high, -math.inf), "high-1": high - 1.0,
+        }[edge]
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0.5, 2.0, m)
+        start = rng.uniform(0.0, 1.0, n)
+        expected = np.zeros(n)
+        if math.isfinite(shift):
+            expected = np.interp(
+                np.arange(n) - offset - shift, np.arange(m, dtype=float), values,
+                left=0.0, right=0.0,
+            )
+        lands = edge.endswith("1")  # one sample inside a limit lands one sample
+        assert np.count_nonzero(expected) == lands
+        acc = np.zeros(n) if lands else start.copy()
+        ks.propagation._add_shifted(acc, values, shift, np.empty(m), offset)
+        if lands:
+            assert np.abs(acc - expected).max() <= 1e-15 * np.abs(values).max()
+        else:
+            assert np.array_equal(acc, start)
+
 
 class TestDelayedPhase:
-    """`_DelayedPhase` and `sample_xpm_phase` against np.interp on the span.
+    """The delayed kernel phase, sampled by `_add_shifted` for
+    `sample_xpm_phase` and for `switch._etas`' blocks, against np.interp on
+    the span.
 
     The grid has dt = 1 s and the delays are dyadic fractions, so t - tau is
     exact and both sides blend with the same weights; only the final
@@ -366,20 +403,22 @@ class TestDelayedPhase:
         if delay == 0.0:
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("span", [(0, 64), (10, 30)])
+    @pytest.mark.parametrize("span", [(0, 64), (10, 30), (0, 20), (40, 64)])
     def test_block_rows_equal_the_grid_samples(self, span):
-        """Rows of a block on a run of the grid are the whole-grid samples
-        at each delay, bit for bit, whatever delays share the block."""
+        """A row of `_etas`' block, `_add_shifted` into `size` zeroed samples
+        from grid index `first` at offset ``kernel.first - first``, is the
+        whole-grid sample there at each delay, bit for bit. Two spans start
+        at index 0 and two end at n - 1."""
         kernel = self.kernel(*span)
-        delays = np.array(self.SHIFTS)
+        values = kernel.phase_vs_offset
         first, size = 17, 25
-        sample = ks.propagation._DelayedPhase(kernel, first, size)
-        block = sample(delays, np.empty((delays.size, size)))
-        for tau, row in zip(delays, block):
+        for tau in self.SHIFTS:
+            row = np.zeros(size)
+            ks.propagation._add_shifted(
+                row, values, tau / self.GRID.dt, np.empty(values.size), kernel.first - first
+            )
             whole = ks.propagation.sample_xpm_phase(kernel, self.GRID, tau)
             assert np.array_equal(row, whole[first : first + size])
-            alone = sample(np.array([tau]), np.empty((1, size)))[0]
-            assert np.array_equal(row, alone)
 
     def test_other_grid_rejected(self):
         with pytest.raises(GridMismatch):

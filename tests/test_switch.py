@@ -445,8 +445,9 @@ def _default_delay_axes(cfg):
 
 
 class TestTwoTapEvaluator:
-    """`_etas` samples the phase by two shifted views of the span; its rows
-    are np.interp's to within roundoff, with the same exact zeros."""
+    """`_etas` samples the phase by `_add_shifted`'s two-tap blend of the
+    span; its rows are np.interp's to within roundoff, with the same exact
+    zeros."""
 
     @pytest.mark.parametrize("energy_nj", [0.5, 4.0, 7.8, 14.0])
     @pytest.mark.parametrize("axis", ["axis", "reversed", "whole_samples", "one_microsecond"])
@@ -490,8 +491,9 @@ class TestTwoTapEvaluator:
 
     def test_blocks_stay_bounded(self, default_cfg):
         """Over the default sweep's 29 kernels (computed beforehand), `_etas`
-        traces at most four blocks' worth of memory: its buffer, the near and
-        far rows it gathers for a block, and a padded span."""
+        traces at most two blocks' worth of memory: its one block buffer,
+        which each delay's row is shifted into in place, and a span-sized
+        scratch row."""
         model = ks.switch._model(default_cfg)
         kernels = list(model.kernels(default_cfg.sweep.energies))
         assert len(kernels) == 29
@@ -502,7 +504,7 @@ class TestTwoTapEvaluator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**16 * 8  # 2 MiB: four blocks of 2**16 doubles
+        assert peak <= 2 * 2**16 * 8  # 1 MiB: two blocks of 2**16 doubles
 
 
 def test_efficiency_from_phase_is_the_plain_weighted_sum():
