@@ -541,17 +541,21 @@ def propagate(
 
     Raises:
         GridMismatch: if pump and signal are sampled on different grids.
+        ValidationError: if that net offset in samples is not finite (a NaN
+            or infinite `delay`, or one too large for a float offset).
     """
     if steps is None:
         raise TypeError("propagate() missing required argument: 'steps'")
     if pump.grid != signal.grid:
         raise GridMismatch("pump and signal must share one time grid")
+    shift = (float(delay) + 0.5 * fiber.walkoff * fiber.length) / pump.grid.dt
+    if not math.isfinite(shift):
+        raise ValidationError(f"delay {delay!r} s gives no finite sample offset for pump_out")
     kernel = compute_xpm_kernel(pump, fiber, steps, signal.center_wavelength)
     xpm_phase = sample_xpm_phase(kernel, signal.grid, delay)
     signal_out = propagate_signal_linear(signal, fiber)
 
-    net_shift = delay + 0.5 * fiber.walkoff * fiber.length
-    roll = int(round(net_shift / pump.grid.dt))
+    roll = int(round(shift))
     pump_out = PulseEnvelope(
         grid=pump.grid,
         center_wavelength=pump.center_wavelength,

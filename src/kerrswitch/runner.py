@@ -6,13 +6,17 @@ header row (quoted RFC-style by csv.writer), and a newline-terminated final
 row; numbers are formatted with %.12g so reruns are byte-identical. A table
 is written in blocks of rows, each row through one format string built from
 the table's first row; its labels are program constants, or numbers already
-formatted with %.12g, that need no quoting.
+formatted with %.12g, that need no quoting. JSON files hold the text of
+``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` plus a
+newline, written one key, or one item of a value given as an iterator, at a
+time, so a long list of records is never held whole.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import islice
@@ -53,6 +57,7 @@ _PS = 1e-12
 _FS = 1e-15
 _NJ = 1e-9
 _CSV_BLOCK = 512  # rows formatted per write
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,23 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return format(float(value), ".12g")
+
+
+def _json_chunks(payload: dict):
+    """Yield the text of ``json.dumps(payload, separators=(",", ":"),
+    sort_keys=True) + "\\n"`` one key at a time, and a value given as an
+    iterator as a JSON array one item at a time."""
+    yield "{"
+    for i, (key, value) in enumerate(sorted(payload.items())):
+        sep = "," if i else ""
+        if isinstance(value, Iterator):
+            yield sep + _encode({key: []})[1:-2]  # '"key":['
+            for j, item in enumerate(value):
+                yield ("," if j else "") + _encode(item)
+            yield "]"
+        else:
+            yield sep + _encode({key: value})[1:-1]
+    yield "}\n"
 
 
 def _now() -> str:
@@ -112,13 +134,30 @@ class _Run:
         self._record(name, path, count)
         return path
 
-    def write_json(self, name: str, payload) -> Path:
-        """Write `payload` as compact JSON with sorted keys: one line, which
-        json's C encoder writes (an indent falls back to its Python one)."""
+    def write_json(self, name: str, payload: dict) -> Path:
+        """Write the dict `payload` as one line of compact JSON with sorted
+        keys: the bytes of ``json.dumps(payload, separators=(",", ":"),
+        sort_keys=True) + "\\n"``.
+
+        The dict is written key by key with json's C encoder. A value given
+        as an iterator is written as a JSON array, one item at a time, so
+        neither its items nor their text exist whole; any other value, a
+        list included, is encoded whole. All or nothing: a value json.dumps
+        rejects raises what json.dumps raises (TypeError for an `np.int64`,
+        say), and then no file is left at the path and no manifest entry is
+        added. The text goes to a sibling ``.part`` file that replaces the
+        path once it is complete.
+        """
         path = self.out_dir / name
-        text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
-        path.write_text(text)
-        self._record(name, path, len(text.splitlines()))
+        part = path.with_name(name + ".part")
+        try:
+            with open(part, "w") as handle:
+                handle.writelines(_json_chunks(payload))
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        part.replace(path)
+        self._record(name, path, 1)
         return path
 
     def _record(self, name: str, path: Path, rows: int):
@@ -231,7 +270,9 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     its standard errors (0 for the exact curve, binomial for the Monte
     Carlo one). One list of these curves is written as fock_probs.csv (one
     row per delay and outcome) and fock_probs.json (one record per outcome),
-    with manifest.json.
+    with manifest.json. The JSON records are made and written one at a
+    time (`_Run.write_json`), so at ``n_max`` 6 its 54 records, 13,068
+    floats, are never held or encoded whole.
     """
     if not (1 <= n_max <= 10):
         raise ValidationError("n_max must lie in 1..10")
@@ -254,18 +295,6 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
         exact = binomial_splits(n, etas)
         probs, stderr, _totals = mc.empirical_split(n)
         curves += [("exact", n, exact, np.zeros_like(exact)), ("monte_carlo", n, probs, stderr)]
-    records = [
-        {
-            "kind": kind,
-            "N": n,
-            "n_S": k,
-            "n_U": n - k,
-            "probability": p[:, k].tolist(),
-            "stderr": err[:, k].tolist(),
-        }
-        for kind, n, p, err in curves
-        for k in range(n + 1)
-    ]
     # The delay and (N, n_S, n_U) columns repeat, so each is formatted once
     # and a row carries them as one label; only its two numbers are formatted.
     taus = [_fmt(tau) for tau in (delays / _PS).tolist()]
@@ -281,6 +310,19 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
         "fock_probs.csv",
         ["delay_ps", "N", "n_S", "n_U", "probability", "stderr", "kind"],
         rows(),
+    )
+    # A generator: the writer takes one record at a time.
+    records = (
+        {
+            "kind": kind,
+            "N": n,
+            "n_S": k,
+            "n_U": n - k,
+            "probability": p[:, k].tolist(),
+            "stderr": err[:, k].tolist(),
+        }
+        for kind, n, p, err in curves
+        for k in range(n + 1)
     )
     run.write_json(
         "fock_probs.json",

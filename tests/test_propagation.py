@@ -212,6 +212,23 @@ def test_too_few_steps_rejected():
         ks.propagate(pump, signal, fiber(), steps=4)
 
 
+@pytest.mark.parametrize("delay", [math.inf, -math.inf, math.nan, 1e300])
+def test_delay_without_a_finite_sample_offset_rejected(delay):
+    """`pump_out`'s whole-sample roll needs a finite offset in samples; these
+    delays, 1e300 s included (it overflows to inf over dt), raise
+    ValidationError, not the OverflowError or ValueError of rounding it.
+    Their sampled phase is still zero."""
+    g = ks.TimeGrid(n_samples=1024, window=40e-12)
+    pump = ks.make_gaussian_pulse(g, PUMP_WL, 180e-15, 1e-9)
+    signal = ks.make_gaussian_pulse(g, SIG_WL, 600e-15, 1e-18)
+    f = fiber(n2=2.6e-20, walkoff=1e-12)
+    with pytest.raises(ValidationError):
+        ks.propagate(pump, signal, f, delay, 16)
+    kernel = ks.compute_xpm_kernel(pump, f, 16, SIG_WL)
+    assert kernel.phase_vs_offset.max() > 0.0
+    assert np.all(ks.propagation.sample_xpm_phase(kernel, g, delay) == 0.0)
+
+
 class TestPumpSpectrum:
     def test_time_bandwidth_limited_gaussian(self):
         fwhm_t = 180e-15

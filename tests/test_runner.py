@@ -1,10 +1,15 @@
 """`runner._Run.write_csv`: the bulk writer gives the bytes and manifest row
 counts of csv.writer fed one `_fmt`-formatted value at a time; and the
-commands' pre-formatted label columns give the bytes of their plain rows."""
+commands' pre-formatted label columns give the bytes of their plain rows.
+`runner._Run.write_json`: the streaming writer gives the bytes and errors of
+one `json.dumps` call, writes nothing on error, and holds no record list."""
 
 import csv
 import json
 import math
+import tracemalloc
+
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -152,3 +157,141 @@ def test_pump_spectra_csv_equals_its_three_column_rows(small_cfg, tmp_path):
     expected = (tmp_path / "ref" / "pump_spectra.csv").read_bytes()
     assert expected.count(b"\n") > 1 + len(energies)
     assert (tmp_path / "cmd" / "pump_spectra.csv").read_bytes() == expected
+
+
+def _reference_json(payload):
+    """The writer `write_json` replaced: one json.dumps of the whole document,
+    with each iterator value as the list of its items."""
+    whole = {k: list(v) if isinstance(v, Iterator) else v for k, v in payload.items()}
+    return json.dumps(whole, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+# Each document is built afresh per call: its iterators are used up once.
+DOCUMENTS = {
+    "empty": lambda: {},
+    "scalars": lambda: {"b": None, "a": math.nan, "c": math.inf, "d": -math.inf, "e": "é\n", "f": True},
+    "list_value": lambda: {"delays_ps": [-1.5, 0.0, np.float64(0.1) + np.float64(0.2)], "n": 3},
+    "iterator_value": lambda: {"z": 1, "curves": ({"k": k, "p": [k * 0.1]} for k in range(5))},
+    "empty_iterator": lambda: {"curves": iter(()), "a": []},
+    "only_iterators": lambda: {"b": iter([1, 2]), "a": iter(range(3))},
+    "nested": lambda: {
+        "outer": {"z": {"y": [None, math.nan, {"b": -math.inf, "a": np.float64(1e-300)}]}, "a": 1},
+        "items": iter([{"q": {"s": 2, "r": 1}}, [], {}]),
+    },
+    "int_keys": lambda: {1: "x", 0: iter(["y"])},
+    "fock_like": lambda: {
+        "delays_ps": [d * 0.1 for d in range(-60, 61)],
+        "curves": (
+            {"kind": kind, "N": n, "n_S": k, "n_U": n - k, "probability": [math.sin(k + n)] * 121, "stderr": [0.0] * 121}
+            for kind in ("exact", "monte_carlo")
+            for n in range(1, 7)
+            for k in range(n + 1)
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_json_bytes_equal_the_reference_writer(name, tmp_path):
+    expected = _reference_json(DOCUMENTS[name]())
+    run = runner._Run(ks.default_config(), tmp_path)
+    path = run.write_json("doc.json", DOCUMENTS[name]())
+    assert path.read_text() == expected
+    (entry,) = run.entries
+    assert entry.rows == 1
+    assert entry.bytes == path.stat().st_size == len(expected.encode())
+
+
+def _rejected(value):
+    """Documents that json.dumps rejects for `value`, at the top level, in a
+    list, nested in a dict, and as an iterator item after good items, which
+    the writer meets mid-file."""
+    return [
+        {"a": value},
+        {"a": 1.0, "b": [0.5, value]},
+        {"a": {"b": {"c": value}}},
+        {"a": 1.0, "b": iter([{"k": 0.5}] * 500 + [{"k": value}]), "c": 2.0},
+    ]
+
+
+BAD_VALUES = {
+    "int64": np.int64(3),
+    "float32": np.float32(0.5),
+    "array": np.zeros(2),
+    "set": {1.0},
+    "tuple_key": {(1, 2): 0.0},
+    "generator_in_list": [(x for x in ())],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_json_errors_match_the_reference_and_leave_nothing(name, tmp_path):
+    """A value json.dumps rejects raises the same exception type; the path
+    keeps what it held before (no file, or the last good write), no `.part`
+    file is left, and no manifest entry is added."""
+    run = runner._Run(ks.default_config(), tmp_path)
+    for i, (ref, doc) in enumerate(zip(_rejected(BAD_VALUES[name]), _rejected(BAD_VALUES[name]))):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _reference_json(ref)
+        with pytest.raises(expected.type):
+            run.write_json(f"doc{i}.json", doc)
+        assert list(tmp_path.iterdir()) == []
+    assert run.entries == []
+    good = run.write_json("doc.json", {"a": 1.0}).read_bytes()
+    with pytest.raises(TypeError):
+        run.write_json("doc.json", {"a": iter([1.0, np.int64(2)])})
+    assert (tmp_path / "doc.json").read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+    assert len(run.entries) == 1
+
+
+def test_circular_document_raises_value_error(tmp_path):
+    doc = {"a": []}
+    doc["a"].append(doc)
+    with pytest.raises(ValueError):
+        _reference_json(doc)
+    run = runner._Run(ks.default_config(), tmp_path)
+    with pytest.raises(ValueError):
+        run.write_json("doc.json", {"b": iter([doc])})
+    assert list(tmp_path.iterdir()) == [] and run.entries == []
+
+
+def test_command_json_artifacts_are_canonical(small_cfg, tmp_path):
+    """Every JSON artifact of sweep, fock and calibrate is the compact,
+    sorted, one-line text of its own document. sweep needs 128 steps to pass
+    its convergence check on this grid."""
+    sweep_cfg = ks.parse_config(json.dumps({**json.loads(ks.emit_config(small_cfg)), "solver": {"steps": 128}}))
+    ks.cmd_sweep(sweep_cfg, tmp_path / "sweep")
+    ks.cmd_fock(small_cfg, tmp_path / "fock")
+    ks.cmd_calibrate(small_cfg, tmp_path / "calibrate")
+    paths = {
+        p.relative_to(tmp_path).as_posix(): p
+        for p in tmp_path.glob("*/*.json")
+        if p.name not in ("manifest.json", "config.json")
+    }
+    assert sorted(paths) == ["calibrate/calibration.json", "fock/fock_probs.json", "sweep/metrics.json"]
+    for path in paths.values():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
+    """Under tracemalloc, the default `cmd_fock`'s write of fock_probs.json
+    (54 records, 13,068 floats, 104,377 bytes) peaks at most 0.25 MB above
+    the live set at its start. Encoding the document whole traces 1.12 MB."""
+    peaks = {}
+    write_json = runner._Run.write_json
+
+    def traced(self, name, payload):
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            return write_json(self, name, payload)
+        finally:
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(runner._Run, "write_json", traced)
+    ks.cmd_fock(ks.default_config(), tmp_path)
+    assert (tmp_path / "fock_probs.json").stat().st_size == 104_377
+    assert peaks["fock_probs.json"] <= 0.25e6
