@@ -140,7 +140,7 @@ def _add_shifted(
     are blended and summed each on its own, with the same result as one
     call per row; `rows` picks the rows of `acc` they go to (a slice, or an
     index array without repeats). `work` is scratch at least the shape of
-    `values`.
+    `values`, of any strides; the result does not depend on them.
     """
     m, n = values.shape[-1], acc.shape[-1]
     if not -m - offset < shift < n - offset:
@@ -204,9 +204,9 @@ class _Window:
     """The rows of one `_split_step` call that currently run on the same
     centred window of `m` samples: their indices and fields, and two work
     buffers, 40 bytes per sample with the field. `intensity` holds |a|^2,
-    contiguous. `rotation` holds the Kerr step's exp(i*angle); its real
-    part takes the angle first and its imaginary part is `_add_shifted`'s
-    scratch after the step."""
+    contiguous, and then the Kerr step's half-angle tangent in place.
+    `rotation` holds the Kerr step's exp(i*angle); before the step the first
+    m float64 columns of each of its rows are `_add_shifted`'s scratch."""
 
     def __init__(self, grid: TimeGrid, m: int, fiber: FiberSpec, dz: float):
         n = grid.n_samples
@@ -275,10 +275,18 @@ def _split_step(
 
     The transforms are numpy.fft, which is pocketfft: the kernels are the
     same bits as with the pocketfft they used before. Each writes into its
-    input (``out=``), so a slice allocates no field. The Kerr step writes
-    the angle gamma*dz*|a|^2 into ``rotation.real``, sin of it into
-    ``rotation.imag`` and then cos over the angle in place, so a window
-    sample holds three arrays: the field, `intensity` and `rotation`.
+    input (``out=``), so a slice allocates no field. A slice first adds its
+    walked-off intensity to the phase, with the first m float64 columns of
+    each `rotation` row as `_add_shifted`'s scratch. The Kerr step then
+    runs in place in the contiguous `intensity`: t = tan(angle/2) for the
+    angle gamma*dz*|a|^2, ``rotation.imag`` = t, `intensity` = 2/(1 + t^2),
+    and exp(i*angle) = (2/(1 + t^2) - 1) + i*t*2/(1 + t^2), which holds
+    through the tangent's poles (t of a float stays below 1e17). numpy
+    2.4's float64 tan is vectorized only on contiguous input, and on hosts
+    without AVX-512 not at all; its sin and cos are not vectorized, so one
+    tangent on contiguous rows costs less than sin and cos on `rotation`'s
+    strided halves. A window sample holds three arrays: the field,
+    `intensity` and `rotation`.
 
     Returns each row's output field on the window it ended on (of the
     field's size), a ``(b, n_samples)`` array whose row r sums row r's walked-off
@@ -355,12 +363,18 @@ def _split_step(
                 sums[g.rows, k] = total
             if k == steps:
                 continue
-            angle = g.rotation.real
-            np.multiply(g.intensity, gamma_dz, out=angle)
-            np.sin(angle, out=g.rotation.imag)
-            np.cos(angle, out=angle)
+            scratch = g.rotation.view(np.float64)[:, :m]
+            _add_shifted(phase, g.intensity, shift, scratch, g.lo, g.rows)
+            t = g.intensity
+            np.multiply(t, 0.5 * gamma_dz, out=t)
+            np.tan(t, out=t)
+            g.rotation.imag = t
+            t *= t
+            t += 1.0
+            np.divide(2.0, t, out=t)
+            g.rotation.imag *= t
+            np.subtract(t, 1.0, out=g.rotation.real)
             g.a *= g.rotation
-            _add_shifted(phase, g.intensity, shift, g.rotation.imag, g.lo, g.rows)
 
     fields = [None] * windows.size
     for g in groups.values():

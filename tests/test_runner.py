@@ -277,7 +277,7 @@ def test_command_json_artifacts_are_canonical(small_cfg, tmp_path):
 
 def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
     """Under tracemalloc, the default `cmd_fock`'s write of fock_probs.json
-    (54 records, 13,068 floats, 104,377 bytes) peaks at most 0.25 MB above
+    (54 records, 13,068 floats, 104,331 bytes) peaks at most 0.25 MB above
     the live set at its start. Encoding the document whole traces 1.12 MB."""
     peaks = {}
     write_json = runner._Run.write_json
@@ -293,5 +293,5 @@ def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner._Run, "write_json", traced)
     ks.cmd_fock(ks.default_config(), tmp_path)
-    assert (tmp_path / "fock_probs.json").stat().st_size == 104_377
+    assert (tmp_path / "fock_probs.json").stat().st_size == 104_331
     assert peaks["fock_probs.json"] <= 0.25e6

@@ -150,7 +150,7 @@ class TestCalibration:
             ks.calibrate_pi_energy(cfg)
 
     def test_default_energy_is_pinned(self, calibrated_energy):
-        assert calibrated_energy / NJ == 7.810040508505639
+        assert calibrated_energy / NJ == 7.810040508505646
 
     def test_repeated_energy_does_not_confine_the_refinement(self):
         """A sweep energy listed twice next to the best scanned one must not
@@ -181,7 +181,7 @@ class TestCalibration:
         monkeypatch.setattr(ks.switch, "_kernel_batch", counting)
         energy = ks.calibrate_pi_energy(default_cfg)
         assert batches == [28, 3]
-        assert energy / NJ == 7.810040508505639
+        assert energy / NJ == 7.810040508505646
 
     @pytest.mark.parametrize("doc", [
         {},
