@@ -98,24 +98,38 @@ def _check_fits(fwhm: float, window: float, name: str = "fwhm") -> None:
 
 def _pulse_shape(grid, fwhm, delay, order):
     """(intensity, raw): the intensity shape exp(-ln2*(2x)^(2*order)),
-    x = (t - delay)/fwhm, on `grid`, and its discrete energy sum * dt. A
-    pulse of energy E > 0 has the samples sqrt(intensity * (E / raw))."""
+    x = (t - delay)/fwhm, on `grid`, and its discrete energy sum * dt; see
+    `_pulse_samples`."""
     x = (grid.times - delay) / fwhm
     intensity = np.exp(-math.log(2.0) * (2.0 * x) ** (2 * order))
     return intensity, np.sum(intensity) * grid.dt
+
+
+def _pulse_samples(shape, raw, pulse_energy):
+    """sqrt(shape * (pulse_energy / raw)) as complex samples: the pulse of
+    energy `pulse_energy` on the samples `shape` holds (all, or a window) of
+    the whole-grid `_pulse_shape` (intensity, raw).
+
+    Raises:
+        NegativeEnergy: if pulse_energy < 0.
+        ValidationError: if a sample is not finite.
+    """
+    if pulse_energy < 0.0:
+        raise NegativeEnergy("pulse energy must be non-negative")
+    samples = np.sqrt(shape * (pulse_energy / raw)).astype(np.complex128)
+    if not np.all(np.isfinite(samples.view(np.float64))):
+        raise ValidationError("envelope samples must be finite")
+    return samples
 
 
 def _shaped_pulse(grid, center_wavelength, fwhm, pulse_energy, delay, order):
     if not (fwhm > 0.0):
         raise ValidationError("fwhm must be positive")
     _check_fits(fwhm, grid.window)
-    if pulse_energy < 0.0:
-        raise NegativeEnergy("pulse energy must be non-negative")
     if pulse_energy == 0.0:
         samples = np.zeros(grid.n_samples, dtype=np.complex128)
     else:
-        intensity, raw = _pulse_shape(grid, fwhm, delay, order)
-        samples = np.sqrt(intensity * (pulse_energy / raw)).astype(np.complex128)
+        samples = _pulse_samples(*_pulse_shape(grid, fwhm, delay, order), pulse_energy)
     return PulseEnvelope(grid=grid, center_wavelength=center_wavelength, samples=samples)
 
 
@@ -252,7 +266,7 @@ class DetectorConfig:
     system_transmittance: float
     noise_per_pulse_switched: float
     noise_per_pulse_unswitched: float
-    noise_window_multiplier: float = 1.0
+    noise_window_multiplier: float
 
     def __post_init__(self):
         for name in ("herald_efficiency", "system_transmittance"):
@@ -285,7 +299,7 @@ class TofConfig:
 
     dispersion: float
     reference_wavelength: float
-    jitter_fwhm: float = 0.0
+    jitter_fwhm: float
 
     def __post_init__(self):
         if self.dispersion == 0.0:
@@ -298,7 +312,7 @@ class TofConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    steps: int = 256
+    steps: int
 
     def __post_init__(self):
         # At 2**20 slices the default sweep's 28-pump batch takes ~25 min
@@ -309,7 +323,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    pulses_per_delay: int = 200_000
+    pulses_per_delay: int
 
     def __post_init__(self):
         # The multinomial draw counts pulses in int64.

@@ -103,13 +103,8 @@ def thermal_joint_source(mean_n: float, cutoff: int) -> JointPhotonDistribution:
         raise ValidationError("mean_n must be non-negative")
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    n = np.arange(cutoff + 1)
-    if mean_n == 0.0:
-        diag = np.zeros(cutoff + 1)
-        diag[0] = 1.0
-    else:
-        ratio = mean_n / (1.0 + mean_n)
-        diag = ratio**n / (1.0 + mean_n)
+    ratio = mean_n / (1.0 + mean_n)
+    diag = ratio ** np.arange(cutoff + 1) / (1.0 + mean_n)
     truncated = 1.0 - diag.sum()
     if truncated >= 1e-6:
         warnings.warn(

@@ -186,18 +186,30 @@ def _window_sizes(n: int, m: int = _MIN_WINDOW) -> list[int]:
     return sizes
 
 
-def _launch_window(launch: np.ndarray, bound: float) -> int:
-    """Smallest centred window of `_window_sizes` that passes the launch
-    guards for a pump of intensity `launch`: at most `bound` of its energy
-    outside, and at most `bound` in the window's outer 1/16. The whole grid,
-    unguarded, when no smaller window passes."""
-    n = launch.size
+def _launch_window(intensity: np.ndarray) -> slice:
+    """The window of the grid a pump of whole-grid intensity `intensity`
+    launches on, as a slice of the grid. It is the smallest of
+    `_window_sizes`, centred in the grid (``lo = (n - m) // 2``), that
+    passes two launch guards: at most ``WINDOW_MASS_BOUND`` of the pump's
+    energy lies outside it, and its outer 1/16 holds at most that fraction.
+    The search starts at 64 samples and steps through 96, 128, 192, ...;
+    when no smaller window passes, the pump launches on the whole grid,
+    unguarded.
+
+    The window depends on the intensity's scale only through rounding. A
+    pulse's |samples|^2 lie within an ulp or two of its shape times
+    E / raw (see `core._pulse_samples`), so the shape's window and the
+    pulse's could part only for a pump whose energy outside a window, or
+    in its outer 1/16, lies within an ulp of the bound."""
+    n = intensity.size
+    bound = WINDOW_MASS_BOUND * intensity.sum()
     for m in _window_sizes(n)[:-1]:
         lo = (n - m) // 2
-        inside = launch[lo : lo + m]
-        if launch[:lo].sum() + launch[lo + m :].sum() <= bound and _edge_mass(inside) <= bound:
-            return m
-    return n
+        window = slice(lo, lo + m)
+        outside = intensity[:lo].sum() + intensity[lo + m :].sum()
+        if outside <= bound and _edge_mass(intensity[window]) <= bound:
+            return window
+    return slice(0, n)
 
 
 class _Window:
@@ -273,8 +285,7 @@ def _split_step(
     rows never mix: each comes out bit for bit as it would in a batch of
     one.
 
-    The transforms are numpy.fft, which is pocketfft: the kernels are the
-    same bits as with the pocketfft they used before. Each writes into its
+    The transforms are numpy.fft, which is pocketfft. Each writes into its
     input (``out=``), so a slice allocates no field. A slice first adds its
     walked-off intensity to the phase, with the first m float64 columns of
     each `rotation` row as `_add_shifted`'s scratch. The Kerr step then
@@ -403,12 +414,8 @@ def compute_xpm_kernels(
     the `steps` slices, summed from the time-domain intensities the
     split-step already computes (see `_split_step`).
 
-    Each pump starts on the smallest sub-window of `_window_sizes`, centred
-    in the grid and at its ``dt``, that passes two launch guards: at most
-    ``WINDOW_MASS_BOUND`` of the pump energy lies outside it, and its outer
-    1/16 holds at most that fraction of the energy. The search starts at 64
-    samples and steps through 96, 128, 192, ...; once it reaches the full
-    grid it propagates that, unguarded, exactly as a kernel without the
+    Each pump starts on its `_launch_window`, at the grid's ``dt``; a pump
+    launched on the whole grid propagates exactly as a kernel without the
     search would. At every slice midpoint the outer 1/16 may hold at most
     ``GROWTH_MASS_BOUND`` of the energy, and after the last slice at most
     ``WINDOW_MASS_BOUND``; a pump with more grows in place to the next size
@@ -440,10 +447,7 @@ def compute_xpm_kernels(
             raise GridMismatch("pumps must share one time grid")
         elif p.center_wavelength != wavelength:
             raise ValidationError("pumps must share one centre wavelength")
-        intensity = np.abs(p.samples) ** 2
-        m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
-        lo = (grid.n_samples - m) // 2
-        launch.append(p.samples[lo : lo + m].copy())
+        launch.append(p.samples[_launch_window(np.abs(p.samples) ** 2)].copy())
     return _kernel_batch(launch, grid, wavelength, fiber, steps, signal_wavelength)
 
 

@@ -11,10 +11,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ExperimentConfig, PulseEnvelope, _pulse_shape, make_gaussian_pulse
+from .core import ExperimentConfig, PulseEnvelope, _pulse_samples, _pulse_shape, make_gaussian_pulse
 from .errors import (
     EmptySpan,
-    NegativeEnergy,
     NoBracket,
     NoCrossing,
     NonConvergence,
@@ -100,45 +99,24 @@ class _Model:
 
     @cached_property
     def pump_shape(self) -> tuple[np.ndarray, float]:
-        """(shape, raw): the pump's intensity shape on its launch window,
-        centred in ``config.grid``, and the discrete energy `raw` of the
-        whole-grid shape (see `core._pulse_shape`).
-
-        The pump at energy E has the samples sqrt(shape * (E / raw)) there, the
-        same bits as the window of `_make_pump`'s pulse. The window is the
-        `_launch_window` of the whole-grid shape. That of a pulse at energy E
-        searches |samples|^2 instead, each sample within an ulp or two of
-        shape * (E / raw), so the two could part only for a pump whose energy
-        outside a window, or in its outer 1/16, lies within an ulp of the bound.
-        `shape` is read-only and shared by every call with the model.
+        """(shape, raw): the pump's intensity shape (see `core._pulse_shape`)
+        on the `_launch_window` of the whole-grid shape, and the discrete
+        energy `raw` of the whole-grid shape. `shape` is read-only and
+        shared by every call with the model.
         """
-        grid = self.config.grid
-        intensity, raw = _pulse_shape(grid, self.config.pump.fwhm_duration, 0.0, 1)
-        m = _launch_window(intensity, WINDOW_MASS_BOUND * intensity.sum())
-        lo = (grid.n_samples - m) // 2
-        shape = intensity[lo : lo + m].copy()
+        intensity, raw = _pulse_shape(self.config.grid, self.config.pump.fwhm_duration, 0.0, 1)
+        shape = intensity[_launch_window(intensity)].copy()
         shape.flags.writeable = False
         return shape, raw
 
     def launch_fields(self, energies: list[float]) -> list[np.ndarray]:
         """The launch field of the pump at each of `energies` (each > 0) on its
         `pump_shape` window: the window of `_make_pump`'s pulse, bit for bit,
-        without building the pulse on the whole grid.
-
-        Raises:
-            NegativeEnergy: if an energy is negative.
-            ValidationError: if a field is not finite.
+        without building the pulse on the whole grid (`core._pulse_samples`,
+        which raises for a negative energy or a field that is not finite).
         """
         shape, raw = self.pump_shape
-        fields = []
-        for e in energies:
-            if e < 0.0:
-                raise NegativeEnergy("pulse energy must be non-negative")
-            a = np.sqrt(shape * (e / raw)).astype(np.complex128)
-            if not np.all(np.isfinite(a.view(np.float64))):
-                raise ValidationError("envelope samples must be finite")
-            fields.append(a)
-        return fields
+        return [_pulse_samples(shape, raw, e) for e in energies]
 
     def kernels(
         self, energies: Iterable[float], steps: int | None = None
@@ -396,13 +374,13 @@ def _bracketed_argmax(
     best point itself on a side where it is the range end). Each round takes
     the vertex c of the parabola through the bracket, or the golden-section
     point of the bracket's larger side when that parabola is flat, c falls
-    outside the bracket or the last round did not halve the bracket; then
-    evaluates the new points of {c - xatol, c, c + xatol} that lie in the
-    range as one `objective` call. The search stops when both neighbours lie
-    within `xatol` of the best point, or after `_MAX_ROUNDS` rounds, and
-    returns the best point, an evaluated abscissa. On a plateau of exactly
-    tied values the search fills the gaps beside it down to `xatol`, so it
-    may run to `_MAX_ROUNDS` there.
+    outside the bracket or the last round was parabolic and did not halve
+    the bracket; then evaluates the new points of {c - xatol, c, c + xatol}
+    that lie in the range as one `objective` call. The search stops when
+    both neighbours lie within `xatol` of the best point, or after
+    `_MAX_ROUNDS` rounds, and returns the best point, an evaluated
+    abscissa. On a plateau of exactly tied values the search fills the gaps
+    beside it down to `xatol`, so it may run to `_MAX_ROUNDS` there.
     """
     seen = dict(seen)
     left, right = min(seen), max(seen)
@@ -414,12 +392,15 @@ def _bracketed_argmax(
             break
         c = _parabola_vertex(seen, lo, best, hi)
         # Parabolic steps alone can shrink one side only, round after round.
-        if c is None or not lo < c < hi or hi - lo > 0.5 * width:
+        golden = c is None or not lo < c < hi or hi - lo > 0.5 * width
+        if golden:
             if best - lo >= hi - best:
                 c = best - _GOLDEN * (best - lo)
             else:
                 c = best + _GOLDEN * (hi - best)
-        width = hi - lo
+        # A golden step need not halve the bracket, so the round after it
+        # may take the parabola again.
+        width = math.inf if golden else hi - lo
         new = [x for x in (c - xatol, c, c + xatol) if left <= x <= right and x not in seen]
         seen.update(zip(new, objective(new)))
     return _bracket(seen)[1]

@@ -711,8 +711,8 @@ def late_growth_energy():
         first = _bisect(lambda e: _growth_pass(e) <= steps, 1e-9, 3e-9)
         early = _bisect(lambda e: _growth_pass(e) < steps, 1e-9, 3e-9)
         energy = 0.5 * (first + early)
-        launch = np.abs(_batch_pumps([energy])[0].samples) ** 2
-        found = ks.propagation._launch_window(launch, bound * launch.sum()), _growth_pass(energy)
+        window = ks.propagation._launch_window(np.abs(_batch_pumps([energy])[0].samples) ** 2)
+        found = window.stop - window.start, _growth_pass(energy)
     assert found == (768, steps), (
         f"a {energy:.6g} J pump launches on {found[0]} samples and first grows at pass "
         f"{found[1]}; the late-growth pump must launch on 768 samples, pass every slice "
@@ -815,9 +815,9 @@ class TestWindowSizes:
                 launch = np.exp(-4.0 * math.log(2.0) * x**2)
             else:
                 launch = np.cosh(2.0 * math.asinh(1.0) * np.minimum(np.abs(x), 300.0)) ** -2.0
-            bound = ks.propagation.WINDOW_MASS_BOUND * launch.sum()
-            got = ks.propagation._launch_window(launch, bound)
-            assert got == self._brute_force_window(launch, bound)
+            m = self._brute_force_window(launch, ks.propagation.WINDOW_MASS_BOUND * launch.sum())
+            lo = (n - m) // 2
+            assert ks.propagation._launch_window(launch) == slice(lo, lo + m)
 
         check()
 
@@ -963,11 +963,8 @@ class TestKernelBatch:
         assert [k.window_samples for k in batch] == [768, 3072, n, n]
         # The 8 nJ pump passes the launch guards at 768 samples, so its
         # 3072-sample kernel comes from growing in place.
-        launch = np.abs(pumps[1].samples) ** 2
-        first = ks.propagation._launch_window(
-            launch, ks.propagation.WINDOW_MASS_BOUND * launch.sum()
-        )
-        assert first == 768
+        first = ks.propagation._launch_window(np.abs(pumps[1].samples) ** 2)
+        assert first == slice((n - 768) // 2, (n + 768) // 2)
 
     @pytest.mark.parametrize("row", range(4))
     def test_row_equals_its_one_pump_kernel(self, pumps, batch, row):
