@@ -15,9 +15,6 @@ from .errors import GridTooSmall, NegativeEnergy, ValidationError
 
 C_LIGHT = 299792458.0  # m/s
 
-# Gaussian intensity FWHM = _GAUSS_FWHM_SIGMA * sigma
-_GAUSS_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -126,10 +123,7 @@ def _shaped_pulse(grid, center_wavelength, fwhm, pulse_energy, delay, order):
     if not (fwhm > 0.0):
         raise ValidationError("fwhm must be positive")
     _check_fits(fwhm, grid.window)
-    if pulse_energy == 0.0:
-        samples = np.zeros(grid.n_samples, dtype=np.complex128)
-    else:
-        samples = _pulse_samples(*_pulse_shape(grid, fwhm, delay, order), pulse_energy)
+    samples = _pulse_samples(*_pulse_shape(grid, fwhm, delay, order), pulse_energy)
     return PulseEnvelope(grid=grid, center_wavelength=center_wavelength, samples=samples)
 
 

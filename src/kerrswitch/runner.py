@@ -105,12 +105,14 @@ def _now() -> str:
 
 
 class _Run:
-    """Collects output files for one command and finalizes the manifest."""
+    """Collects output files for one command and finalizes the manifest.
+    The config document is emitted once, as `config_text`, for config.json,
+    the config hash and fock_probs.json's delays."""
 
     def __init__(self, config: ExperimentConfig, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.config = config
+        self.config_text = emit_config(config)
         self.started = _now()
         self.entries: list[ManifestEntry] = []
 
@@ -167,9 +169,8 @@ class _Run:
         self.entries.append(ManifestEntry(name=name, path=str(path), rows=rows, bytes=size))
 
     def finish(self) -> RunManifest:
-        config_text = emit_config(self.config)
         manifest = RunManifest(
-            config_hash=text_hash(config_text),
+            config_hash=text_hash(self.config_text),
             tool_version=__version__,
             started_at=self.started,
             finished_at=_now(),
@@ -177,7 +178,7 @@ class _Run:
         )
         text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
         (self.out_dir / "manifest.json").write_text(text)
-        (self.out_dir / "config.json").write_text(config_text)
+        (self.out_dir / "config.json").write_text(self.config_text)
         return manifest
 
 
@@ -192,6 +193,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     The surface's kernels are propagated as one batch first, so the check's
     kernel at ``solver.steps`` comes from it when the operating energy is on
     the sweep axis.
+
+    metrics.json's `eta_max` is the delay slice's maximum. A metric that
+    cannot be measured is null, and `note` gives the error that stopped it:
+    NoBracket from calibration (the delay slice is then taken at
+    ``pump.energy``), or a width's ValidationError, NoCrossing or EmptySpan.
 
     Raises:
         NonConvergence: if the step-doubling residual at the operating point
@@ -211,22 +217,17 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     )
 
     metrics: dict = {
-        "eta_max": None,
         "fw10db_ps": None,
         "flat98_span_fs": None,
         "calibrated_energy_nj": None,
         "note": "",
     }
-    sufficient = delays.size >= 16 and energies.size >= 3
     e_star = config.pump.energy
-    if sufficient:
-        try:
-            e_star = calibrate_pi_energy(config)
-            metrics["calibrated_energy_nj"] = e_star / _NJ
-        except NoBracket as exc:
-            metrics["note"] = f"calibration failed: {exc}"
-    else:
-        metrics["note"] = "insufficient samples"
+    try:
+        e_star = calibrate_pi_energy(config)
+        metrics["calibrated_energy_nj"] = e_star / _NJ
+    except NoBracket as exc:
+        metrics["note"] = f"calibration failed: {exc}"
 
     # Energy slice at zero delay; reuse the surface column when it exists.
     zero_idx = np.flatnonzero(delays == 0.0)
@@ -247,16 +248,15 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
     ]
     run.write_csv("slices.csv", ["slice", "delay_ps", "energy_nJ", "eta"], rows)
 
-    if sufficient:
-        metrics["eta_max"] = float(delay_slice.max())
-        try:
-            metrics["fw10db_ps"] = temporal_resolution(delays, delay_slice) / _PS
-        except (NoCrossing, ValidationError) as exc:
-            metrics["note"] += f" fw10db unavailable: {exc}"
-        try:
-            metrics["flat98_span_fs"] = flat_top_span(delays, delay_slice, 0.98) / _FS
-        except (EmptySpan, ValidationError) as exc:
-            metrics["note"] += f" flat98 unavailable: {exc}"
+    metrics["eta_max"] = float(delay_slice.max())
+    try:
+        metrics["fw10db_ps"] = temporal_resolution(delays, delay_slice) / _PS
+    except (NoCrossing, ValidationError) as exc:
+        metrics["note"] += f" fw10db unavailable: {exc}"
+    try:
+        metrics["flat98_span_fs"] = flat_top_span(delays, delay_slice, 0.98) / _FS
+    except (EmptySpan, ValidationError) as exc:
+        metrics["note"] += f" flat98 unavailable: {exc}"
     metrics["note"] = metrics["note"].strip()
     run.write_json("metrics.json", metrics)
     return run.finish()
@@ -272,7 +272,8 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     row per delay and outcome) and fock_probs.json (one record per outcome),
     with manifest.json. The JSON records are made and written one at a
     time (`_Run.write_json`), so at ``n_max`` 6 its 54 records, 13,068
-    floats, are never held or encoded whole.
+    floats, are never held or encoded whole. Its ``delays_ps`` are the
+    numbers config.json writes.
     """
     if not (1 <= n_max <= 10):
         raise ValidationError("n_max must lie in 1..10")
@@ -326,7 +327,7 @@ def cmd_fock(config: ExperimentConfig, out_dir, n_max: int = 6) -> RunManifest:
     )
     run.write_json(
         "fock_probs.json",
-        {"delays_ps": [d / _PS for d in delays], "curves": records},
+        {"delays_ps": json.loads(run.config_text)["sweep"]["delays_ps"], "curves": records},
     )
     return run.finish()
 

@@ -476,10 +476,35 @@ def check_convergence(
     return residual
 
 
-def _interp_crossing(x0, y0, x1, y1, level):
-    if y1 == y0:
-        return x0
-    return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+def _peak(x: np.ndarray, y: np.ndarray, measure: str, axis: str) -> int:
+    """Index of the maximum of `y` on the width axis `x`; `measure` and
+    `axis` name the width and the axis in the error messages.
+
+    Raises:
+        ValidationError: if `x` has fewer than 16 samples or does not
+            strictly increase.
+    """
+    if x.size < 16:
+        raise ValidationError(f"need at least 16 samples to measure a {measure}")
+    if not np.all(np.diff(x) > 0.0):
+        raise ValidationError(f"{axis} must be strictly increasing")
+    return int(np.argmax(y))
+
+
+def _crossings(y: np.ndarray, peak: int, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segments [i, i+1] on which `y` crosses `level`, ascending, split into
+    those before `peak` and those from `peak` on. A segment crosses when one
+    end lies below the level and the other does not (a NaN is not below)."""
+    below = y < level
+    segments = np.flatnonzero(below[:-1] != below[1:])
+    split = int(np.searchsorted(segments, peak))
+    return segments[:split], segments[split:]
+
+
+def _crossing(x: np.ndarray, y: np.ndarray, i: int, level: float) -> float:
+    """Where the crossing segment [i, i+1] meets `level`, interpolating
+    linearly. Its ends lie on either side of the level, so they differ."""
+    return x[i] + (level - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
 
 
 def full_width(x: np.ndarray, y: np.ndarray, fraction: float) -> float:
@@ -494,28 +519,16 @@ def full_width(x: np.ndarray, y: np.ndarray, fraction: float) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 16:
-        raise ValidationError("need at least 16 samples to measure a width")
-    if not np.all(np.diff(x) > 0.0):
-        raise ValidationError("x must be strictly increasing")
+    peak = _peak(x, y, "width", "x")
     if not (0.0 < fraction < 1.0):
         raise ValidationError("fraction must lie in (0, 1)")
-    peak = int(np.argmax(y))
     if y[peak] <= 0.0:
         raise ValidationError("curve maximum must be positive")
     level = y[peak] * fraction
-
-    # Segments [i, i+1] on which the curve crosses the level.
-    crossings = np.flatnonzero((y[:-1] < level) != (y[1:] < level))
-    left_cross = crossings[crossings < peak]
-    right_cross = crossings[crossings >= peak]
-    if left_cross.size == 0 or right_cross.size == 0:
+    before, after = _crossings(y, peak, level)
+    if before.size == 0 or after.size == 0:
         raise NoCrossing(f"curve never drops below {level:.3g} on one side of the peak")
-    li = int(left_cross.min())
-    ri = int(right_cross.max())
-    left = _interp_crossing(x[li], y[li], x[li + 1], y[li + 1], level)
-    right = _interp_crossing(x[ri], y[ri], x[ri + 1], y[ri + 1], level)
-    return float(right - left)
+    return float(_crossing(x, y, after[-1], level) - _crossing(x, y, before[0], level))
 
 
 def temporal_resolution(
@@ -535,24 +548,10 @@ def flat_top_span(delays: np.ndarray, etas: np.ndarray, level: float) -> float:
     """
     delays = np.asarray(delays, dtype=float)
     etas = np.asarray(etas, dtype=float)
-    if delays.size < 16:
-        raise ValidationError("need at least 16 samples to measure a span")
-    if not np.all(np.diff(delays) > 0.0):
-        raise ValidationError("delays must be strictly increasing")
-    peak = int(np.argmax(etas))
+    peak = _peak(delays, etas, "span", "delays")
     if etas[peak] < level:
         raise EmptySpan(f"maximum {etas[peak]:.4g} lies below the requested level {level:g}")
-
-    li = peak
-    while li > 0 and etas[li - 1] >= level:
-        li -= 1
-    ri = peak
-    while ri < etas.size - 1 and etas[ri + 1] >= level:
-        ri += 1
-    left = delays[li]
-    if li > 0:
-        left = _interp_crossing(delays[li - 1], etas[li - 1], delays[li], etas[li], level)
-    right = delays[ri]
-    if ri < etas.size - 1:
-        right = _interp_crossing(delays[ri], etas[ri], delays[ri + 1], etas[ri + 1], level)
+    before, after = _crossings(etas, peak, level)
+    left = _crossing(delays, etas, before[-1], level) if before.size else delays[0]
+    right = _crossing(delays, etas, after[0], level) if after.size else delays[-1]
     return float(right - left)

@@ -83,8 +83,35 @@ class TestCmdSweep:
         rows = read_csv(tmp_path / "surface.csv")
         assert len(rows) == 2 and len(rows[1]) == 2
         metrics = json.loads((tmp_path / "metrics.json").read_text())
-        assert metrics["eta_max"] is None
-        assert "insufficient samples" in metrics["note"]
+        assert metrics["calibrated_energy_nj"] is None
+        assert metrics["fw10db_ps"] is None and metrics["flat98_span_fs"] is None
+        assert metrics["eta_max"] == ks.numeric_efficiency(cfg, cfg.pump.energy, 0.0).eta
+        assert metrics["note"] == (
+            "calibration failed: sweep energy range is degenerate"
+            " fw10db unavailable: need at least 16 samples to measure a width"
+            " flat98 unavailable: need at least 16 samples to measure a span"
+        )
+
+    def test_short_delay_axis_still_calibrates(self, tmp_path):
+        """Five delays are too few for a width but not for calibration: the
+        sweep reports `cmd_calibrate`'s energy and takes its delay slice
+        there."""
+        doc = {**SMALL_DOC, "sweep": {**SMALL_DOC["sweep"], "delays_ps": [-1.0, -0.5, 0.0, 0.5, 1.0]}}
+        cfg = ks.parse_config(json.dumps(doc))
+        ks.cmd_sweep(cfg, tmp_path / "sweep")
+        ks.cmd_calibrate(cfg, tmp_path / "calibrate")
+        metrics = json.loads((tmp_path / "sweep" / "metrics.json").read_text())
+        calibration = json.loads((tmp_path / "calibrate" / "calibration.json").read_text())
+        energy = calibration["calibrated_energy_nj"]
+        assert metrics["calibrated_energy_nj"] == energy
+        delay_slice = [row for row in read_csv(tmp_path / "sweep" / "slices.csv") if row[0] == "delay_at_calibrated_energy"]
+        assert [row[1] for row in delay_slice] == ["-1", "-0.5", "0", "0.5", "1"]
+        assert {row[2] for row in delay_slice} == {format(energy, ".12g")}
+        assert delay_slice[2][3] == format(calibration["eta_at_calibrated_energy"], ".12g")
+        assert metrics["note"] == (
+            "fw10db unavailable: need at least 16 samples to measure a width"
+            " flat98 unavailable: need at least 16 samples to measure a span"
+        )
 
     def test_rerun_is_byte_identical(self, small_cfg, tmp_path):
         ks.cmd_sweep(small_cfg, tmp_path / "a")

@@ -277,7 +277,7 @@ def test_command_json_artifacts_are_canonical(small_cfg, tmp_path):
 
 def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
     """Under tracemalloc, the default `cmd_fock`'s write of fock_probs.json
-    (54 records, 13,068 floats, 104,331 bytes) peaks at most 0.25 MB above
+    (54 records, 13,068 floats, 104,005 bytes) peaks at most 0.25 MB above
     the live set at its start. Encoding the document whole traces 1.12 MB."""
     peaks = {}
     write_json = runner._Run.write_json
@@ -293,5 +293,16 @@ def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner._Run, "write_json", traced)
     ks.cmd_fock(ks.default_config(), tmp_path)
-    assert (tmp_path / "fock_probs.json").stat().st_size == 104_331
+    assert (tmp_path / "fock_probs.json").stat().st_size == 104_005
     assert peaks["fock_probs.json"] <= 0.25e6
+
+
+def test_fock_json_delays_are_the_config_documents(tmp_path):
+    """fock_probs.json's delay axis is config.json's, value for value: the
+    default -5.8 ps is written -5.8, where its SI delay over 1e-12 is
+    -5.800000000000001."""
+    ks.cmd_fock(ks.default_config(), tmp_path)
+    config = json.loads((tmp_path / "config.json").read_text())
+    doc = json.loads((tmp_path / "fock_probs.json").read_text())
+    assert doc["delays_ps"] == config["sweep"]["delays_ps"]
+    assert -5.8 in doc["delays_ps"]

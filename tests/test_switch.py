@@ -305,6 +305,25 @@ class TestBracketedArgmax:
         assert ks.switch._bracketed_argmax(lambda xs: [-x for x in xs], negated, 1e-6) == 2.0
 
 
+def _scanned_ends(x, y, level, outermost):
+    """The crossings of `level` on each side of argmax(y), found by scanning
+    the segments [i, i+1] outward from it: the first found on each side, or
+    with `outermost` the last; None on a side with none. A segment crosses
+    when exactly one of its ends lies below the level."""
+    peak = int(np.argmax(y))
+    ends = []
+    for segments in (range(peak - 1, -1, -1), range(peak, len(y) - 1)):
+        end = None
+        for i in segments:
+            if (y[i] < level) != (y[i + 1] < level):
+                x0, y0, x1, y1 = x[i], y[i], x[i + 1], y[i + 1]
+                end = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+                if not outermost:
+                    break
+        ends.append(end)
+    return ends
+
+
 class TestTemporalMetrics:
     def test_rectangle_width(self):
         delays = np.linspace(-5e-12, 5e-12, 101)
@@ -342,6 +361,60 @@ class TestTemporalMetrics:
         etas = 0.5 * np.exp(-0.5 * (delays / 1e-12) ** 2)
         with pytest.raises(EmptySpan):
             ks.flat_top_span(delays, etas, 0.98)
+
+    def test_widths_match_a_scan_from_the_peak(self):
+        """`full_width` spans the outermost crossings, `flat_top_span` the
+        innermost or an axis end, as a loop scanning out from the argmax
+        finds them; axes too short or not increasing are rejected first."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # Few distinct values, so curves tie and hold plateaus.
+        value = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.98, 1.0]), st.floats(-0.5, 1.5))
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            n=st.one_of(st.integers(16, 64), st.integers(0, 15)),
+            data=st.data(),
+            fraction=st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            # Levels past 1 lie above the maximum of most curves.
+            level=st.one_of(st.sampled_from([0.98, 1.0, 1.5]), st.floats(-0.5, 2.0)),
+            unsorted=st.booleans(),
+        )
+        def check(n, data, fraction, level, unsorted):
+            steps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+            x = np.cumsum(steps)
+            y = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+            if unsorted and n > 1:
+                x[-1] = x[0]
+            if n < 16 or (unsorted and n > 1):
+                with pytest.raises(ValidationError):
+                    ks.full_width(x, y, fraction)
+                with pytest.raises(ValidationError):
+                    ks.flat_top_span(x, y, level)
+                return
+
+            peak = y.max()
+            if not (0.0 < fraction < 1.0) or peak <= 0.0:
+                with pytest.raises(ValidationError):
+                    ks.full_width(x, y, fraction)
+            else:
+                left, right = _scanned_ends(x, y, peak * fraction, outermost=True)
+                if left is None or right is None:
+                    with pytest.raises(NoCrossing):
+                        ks.full_width(x, y, fraction)
+                else:
+                    assert ks.full_width(x, y, fraction) == right - left
+
+            if peak < level:
+                with pytest.raises(EmptySpan):
+                    ks.flat_top_span(x, y, level)
+            else:
+                left, right = _scanned_ends(x, y, level, outermost=False)
+                left = x[0] if left is None else left
+                right = x[-1] if right is None else right
+                assert ks.flat_top_span(x, y, level) == right - left
+
+        check()
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_axis_that_does_not_increase_is_rejected(self, order):
