@@ -104,7 +104,8 @@ class TestCmdSweep:
         calibration = json.loads((tmp_path / "calibrate" / "calibration.json").read_text())
         energy = calibration["calibrated_energy_nj"]
         assert metrics["calibrated_energy_nj"] == energy
-        delay_slice = [row for row in read_csv(tmp_path / "sweep" / "slices.csv") if row[0] == "delay_at_calibrated_energy"]
+        slices = read_csv(tmp_path / "sweep" / "slices.csv")
+        delay_slice = [row for row in slices if row[0] == "delay_at_calibrated_energy"]
         assert [row[1] for row in delay_slice] == ["-1", "-0.5", "0", "0.5", "1"]
         assert {row[2] for row in delay_slice} == {format(energy, ".12g")}
         assert delay_slice[2][3] == format(calibration["eta_at_calibrated_energy"], ".12g")
