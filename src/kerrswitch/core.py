@@ -109,10 +109,13 @@ def _pulse_samples(shape, raw, pulse_energy):
 
     Raises:
         NegativeEnergy: if pulse_energy < 0.
-        ValidationError: if a sample is not finite.
+        ValidationError: if `raw` is not positive (the shape underflows on
+            the grid, or is NaN), or a sample is not finite.
     """
     if pulse_energy < 0.0:
         raise NegativeEnergy("pulse energy must be non-negative")
+    if not raw > 0.0:
+        raise ValidationError("envelope samples must be finite")
     samples = np.sqrt(shape * (pulse_energy / raw)).astype(np.complex128)
     if not np.all(np.isfinite(samples.view(np.float64))):
         raise ValidationError("envelope samples must be finite")

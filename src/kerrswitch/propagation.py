@@ -214,11 +214,9 @@ def _launch_window(intensity: np.ndarray) -> slice:
 
 class _Window:
     """The rows of one `_split_step` call that currently run on the same
-    centred window of `m` samples: their indices and fields, and two work
-    buffers, 40 bytes per sample with the field. `intensity` holds |a|^2,
-    contiguous, and then the Kerr step's half-angle tangent in place.
-    `rotation` holds the Kerr step's exp(i*angle); before the step the first
-    m float64 columns of each of its rows are `_add_shifted`'s scratch."""
+    centred window of `m` samples: their indices and their fields, 16 bytes
+    per sample. The split-step's work buffers are not the group's: it
+    lends them to each group for its turn in a pass."""
 
     def __init__(self, grid: TimeGrid, m: int, fiber: FiberSpec, dz: float):
         n = grid.n_samples
@@ -231,25 +229,19 @@ class _Window:
             omega, fiber.beta2_pump, fiber.beta3_pump, fiber.alpha, 0.5 * dz
         )
         self.full = self.half * self.half
-        self._set(np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.complex128))
-
-    def _set(self, rows: np.ndarray, a: np.ndarray) -> None:
-        self.rows, self.a = rows, a
-        self.intensity = np.empty(a.shape)
-        self.rotation = np.empty(a.shape, dtype=np.complex128)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.a = np.empty((0, m), dtype=np.complex128)
 
     def join(self, rows: np.ndarray, a: np.ndarray) -> None:
         """Add rows with their time-domain fields `a`."""
-        self._set(np.concatenate([self.rows, rows]), np.concatenate([self.a, a]))
+        self.rows, self.a = np.concatenate([self.rows, rows]), np.concatenate([self.a, a])
 
     def take(self, leave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Remove the rows flagged in `leave` and return their indices and
-        fields; the rows that stay keep this slice's intensity."""
+        fields."""
         taken = self.rows[leave], self.a[leave]
         stay = ~leave
-        intensity = self.intensity[stay]
-        self._set(self.rows[stay], self.a[stay])
-        self.intensity = intensity
+        self.rows, self.a = self.rows[stay], self.a[stay]
         return taken
 
 
@@ -286,9 +278,16 @@ def _split_step(
     one.
 
     The transforms are numpy.fft, which is pocketfft. Each writes into its
-    input (``out=``), so a slice allocates no field. A slice first adds its
-    walked-off intensity to the phase, with the first m float64 columns of
-    each `rotation` row as `_add_shifted`'s scratch. The Kerr step then
+    input (``out=``), so a slice allocates no field. A group holds only its
+    rows and fields; the loop keeps one pair of work buffers, float64
+    `intensity` and complex `rotation`, each of the largest rows * m any
+    group has had, and a group borrows their fronts as contiguous
+    ``(rows, m)`` arrays for its turn. Groups take their turns one at a
+    time, so none sees another's values. When rows grow out of a group,
+    the intensity of the rows that stay is packed into the buffer's front.
+    A slice first adds its walked-off intensity to the phase, with the
+    first m float64 columns of each `rotation` row as `_add_shifted`'s
+    scratch. The Kerr step then
     runs in place in the contiguous `intensity`: t = tan(angle/2) for the
     angle gamma*dz*|a|^2, ``rotation.imag`` = t, `intensity` = 2/(1 + t^2),
     and exp(i*angle) = (2/(1 + t^2) - 1) + i*t*2/(1 + t^2), which holds
@@ -296,8 +295,7 @@ def _split_step(
     2.4's float64 tan is vectorized only on contiguous input, and on hosts
     without AVX-512 not at all; its sin and cos are not vectorized, so one
     tangent on contiguous rows costs less than sin and cos on `rotation`'s
-    strided halves. A window sample holds three arrays: the field,
-    `intensity` and `rotation`.
+    strided halves.
 
     Returns each row's output field on the window it ended on (of the
     field's size), a ``(b, n_samples)`` array whose row r sums row r's walked-off
@@ -323,10 +321,19 @@ def _split_step(
     sizes = _window_sizes(n, int(windows.min()))
     groups: dict[int, _Window] = {}
 
+    # The work buffers every group borrows for its turn: float64 intensity
+    # and complex rotation, each of the largest rows * m seen so far.
+    work = [np.empty(0), np.empty(0, dtype=np.complex128)]
+
     def group(m: int) -> _Window:
         if m not in groups:
             groups[m] = _Window(grid, m, fiber, dz)
         return groups[m]
+
+    def borrow(b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        if b * m > work[0].size:
+            work[:] = np.empty(b * m), np.empty(b * m, dtype=np.complex128)
+        return work[0][: b * m].reshape(b, m), work[1][: b * m].reshape(b, m)
 
     def linear(g: _Window, k: int) -> np.ndarray:
         return g.half if k in (0, steps) else g.full
@@ -359,33 +366,38 @@ def _split_step(
             np.fft.fft(g.a, out=g.a)
             g.a *= linear(g, k)
             np.fft.ifft(g.a, out=g.a)
-            np.abs(g.a, out=g.intensity)
-            g.intensity *= g.intensity
-            total = g.intensity.sum(axis=-1)
+            intensity, rotation = borrow(g.rows.size, m)
+            np.abs(g.a, out=intensity)
+            intensity *= intensity
+            total = intensity.sum(axis=-1)
             if m < n:
-                leave = ~(_edge_mass(g.intensity) <= bound * total)
+                leave = ~(_edge_mass(intensity) <= bound * total)
                 if leave.any():
                     # The rows that grow make this pass on their new window.
                     grow(g, leave, k)
                     if not g.rows.size:
                         continue
-                    total = total[~leave]
+                    stay = ~leave
+                    b = g.rows.size
+                    intensity[:b] = intensity[stay]
+                    intensity, rotation = intensity[:b], rotation[:b]
+                    total = total[stay]
             if k:
                 sums[g.rows, k] = total
             if k == steps:
                 continue
-            scratch = g.rotation.view(np.float64)[:, :m]
-            _add_shifted(phase, g.intensity, shift, scratch, g.lo, g.rows)
-            t = g.intensity
+            scratch = rotation.view(np.float64)[:, :m]
+            _add_shifted(phase, intensity, shift, scratch, g.lo, g.rows)
+            t = intensity
             np.multiply(t, 0.5 * gamma_dz, out=t)
             np.tan(t, out=t)
-            g.rotation.imag = t
+            rotation.imag = t
             t *= t
             t += 1.0
             np.divide(2.0, t, out=t)
-            g.rotation.imag *= t
-            np.subtract(t, 1.0, out=g.rotation.real)
-            g.a *= g.rotation
+            rotation.imag *= t
+            np.subtract(t, 1.0, out=rotation.real)
+            g.a *= rotation
 
     fields = [None] * windows.size
     for g in groups.values():
@@ -523,12 +535,20 @@ def sample_xpm_phase(kernel: XpmKernel, grid: TimeGrid, delay: float) -> np.ndar
     return out
 
 
+def _signal_linear(samples: np.ndarray, dt: float, fiber: FiberSpec) -> np.ndarray:
+    """Signal `samples`, spaced `dt`, after the signal's dispersion and loss
+    over the full fiber length: one FFT, the linear factor on the samples'
+    own frequency axis (``fftfreq(size, dt)``, for a grid or any window of
+    it) and one inverse FFT. The one linear signal step of the package."""
+    omega = 2.0 * np.pi * np.fft.fftfreq(samples.size, d=dt)
+    factor = _linear_factor(omega, fiber.beta2_signal, 0.0, fiber.alpha, fiber.length)
+    return np.fft.ifft(np.fft.fft(samples) * factor)
+
+
 def propagate_signal_linear(signal: PulseEnvelope, fiber: FiberSpec) -> PulseEnvelope:
-    """Apply the signal's dispersion and loss over the full fiber length."""
-    factor = _linear_factor(
-        signal.grid.omega, fiber.beta2_signal, 0.0, fiber.alpha, fiber.length
-    )
-    out = np.fft.ifft(np.fft.fft(signal.samples) * factor)
+    """Apply the signal's dispersion and loss over the full fiber length,
+    on the whole grid (`_signal_linear`)."""
+    out = _signal_linear(signal.samples, signal.grid.dt, fiber)
     return PulseEnvelope(
         grid=signal.grid, center_wavelength=signal.center_wavelength, samples=out
     )

@@ -187,9 +187,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
 
     Writes surface.csv (rows are delays, columns are pump energies),
     slices.csv (the zero-delay energy slice and the calibrated-energy delay
-    slice), metrics.json, and manifest.json. Everything runs on the calling
-    thread; the surface rows, the convergence check, calibration and the
-    slices share the config's one model (`switch._model`) and its kernels.
+    slice, labelled ``delay_at_pump_energy`` when it is taken at
+    ``pump.energy``), metrics.json, and manifest.json. Everything runs on
+    the calling thread; the surface rows, the convergence check,
+    calibration and the slices share the config's one model
+    (`switch._model`) and its kernels.
     The surface's kernels are propagated as one batch first, so the check's
     kernel at ``solver.steps`` comes from it when the operating energy is on
     the sweep axis.
@@ -222,10 +224,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
         "calibrated_energy_nj": None,
         "note": "",
     }
-    e_star = config.pump.energy
+    e_star, label = config.pump.energy, "delay_at_pump_energy"
     try:
         e_star = calibrate_pi_energy(config)
         metrics["calibrated_energy_nj"] = e_star / _NJ
+        label = "delay_at_calibrated_energy"
     except NoBracket as exc:
         metrics["note"] = f"calibration failed: {exc}"
 
@@ -243,7 +246,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir) -> RunManifest:
         ["energy_at_zero_delay", 0.0, e / _NJ, eta]
         for e, eta in zip(energies, energy_slice)
     ] + [
-        ["delay_at_calibrated_energy", d / _PS, e_star / _NJ, eta]
+        [label, d / _PS, e_star / _NJ, eta]
         for d, eta in zip(delays, delay_slice)
     ]
     run.write_csv("slices.csv", ["slice", "delay_ps", "energy_nJ", "eta"], rows)

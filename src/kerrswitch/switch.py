@@ -19,15 +19,19 @@ from .errors import (
     NonConvergence,
     ValidationError,
 )
-# `compute_xpm_kernel` and `sample_xpm_phase` are not called here (kernels
-# come from `_kernel_batch`, phases from `_add_shifted`); perfbench's
+# `compute_xpm_kernel`, `sample_xpm_phase` and `propagate_signal_linear`
+# are not called here (kernels come from `_kernel_batch`, phases from
+# `_add_shifted`, the signal's support from `_signal_linear`); perfbench's
 # tracer wraps them under this module's name, so the bindings stay.
 from .propagation import (
     WINDOW_MASS_BOUND,
     XpmKernel,
     _add_shifted,
+    _edge_mass,
     _kernel_batch,
     _launch_window,
+    _signal_linear,
+    _window_sizes,
     compute_xpm_kernel,
     propagate_signal_linear,
     pump_spectrum,
@@ -72,12 +76,17 @@ def _make_pump(config: ExperimentConfig, pump_energy: float) -> PulseEnvelope:
     )
 
 
+# The signal's energy: a weak probe, of which only the normalized shape
+# enters the efficiency.
+_SIGNAL_ENERGY = 1.0e-18
+
+
 def _make_signal(config: ExperimentConfig) -> PulseEnvelope:
     return make_gaussian_pulse(
         config.grid,
         config.signal.center_wavelength,
         config.signal.fwhm_duration,
-        1.0e-18,  # weak probe; only the normalized shape enters the efficiency
+        _SIGNAL_ENERGY,
     )
 
 
@@ -160,16 +169,32 @@ class _Model:
         """(first, weights): the propagated signal's intensity on its support,
         whose first sample is grid index `first`.
 
-        The support is the contiguous run of grid samples left after trimming
-        each end by at most half of ``WINDOW_MASS_BOUND`` of the total weight, so
-        an efficiency summed over it differs from the full-grid sum only by the
-        weight it leaves out. `weights` is a read-only copy, shared by every call
-        with the model.
+        The signal exists only on its window, as the pump does (`pump_shape`):
+        its shape is computed on the whole grid, its `_launch_window` found,
+        and `_make_signal`'s samples built on that window alone
+        (`core._pulse_samples`). They propagate linearly there
+        (`_signal_linear`). Where the output's outer 1/16 holds more than
+        ``WINDOW_MASS_BOUND`` of its weight, the signal is built and
+        propagated again on the next of `_window_sizes`, up to the whole
+        grid, which is not guarded: the pump's end guard.
+
+        The support is the contiguous run of that window's samples left after
+        trimming each end by at most half of ``WINDOW_MASS_BOUND`` of the total
+        weight, so an efficiency summed over it differs from the window's sum
+        only by the weight it leaves out. `weights` is a read-only copy, shared
+        by every call with the model.
         """
         config = self.config
-        out = propagate_signal_linear(_make_signal(config), config.fiber)
-        weights = np.abs(out.samples) ** 2
-        total = weights.sum()
+        n, dt = config.grid.n_samples, config.grid.dt
+        shape, raw = _pulse_shape(config.grid, config.signal.fwhm_duration, 0.0, 1)
+        launch = _launch_window(shape)
+        for m in _window_sizes(n, launch.stop - launch.start):
+            start = (n - m) // 2
+            samples = _pulse_samples(shape[start : start + m], raw, _SIGNAL_ENERGY)
+            weights = np.abs(_signal_linear(samples, dt, config.fiber)) ** 2
+            total = weights.sum()
+            if m == n or _edge_mass(weights) <= WINDOW_MASS_BOUND * total:
+                break
         cut = 0.5 * WINDOW_MASS_BOUND * total
         lo = int(np.searchsorted(np.cumsum(weights), cut, side="right"))
         hi = weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), cut, side="right"))
@@ -177,7 +202,7 @@ class _Model:
         assert left_out <= WINDOW_MASS_BOUND * total, "signal support drops too much weight"
         weights = weights[lo:hi].copy()
         weights.flags.writeable = False
-        return lo, weights
+        return start + lo, weights
 
 
 @lru_cache(maxsize=2)
@@ -482,19 +507,21 @@ def _peak(x: np.ndarray, y: np.ndarray, measure: str, axis: str) -> int:
 
     Raises:
         ValidationError: if `x` has fewer than 16 samples or does not
-            strictly increase.
+            strictly increase, or `y` holds a value that is not finite.
     """
     if x.size < 16:
         raise ValidationError(f"need at least 16 samples to measure a {measure}")
     if not np.all(np.diff(x) > 0.0):
         raise ValidationError(f"{axis} must be strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"the curve must be finite to measure a {measure}")
     return int(np.argmax(y))
 
 
 def _crossings(y: np.ndarray, peak: int, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Segments [i, i+1] on which `y` crosses `level`, ascending, split into
     those before `peak` and those from `peak` on. A segment crosses when one
-    end lies below the level and the other does not (a NaN is not below)."""
+    end lies below the level and the other does not."""
     below = y < level
     segments = np.flatnonzero(below[:-1] != below[1:])
     split = int(np.searchsorted(segments, peak))
@@ -514,7 +541,7 @@ def full_width(x: np.ndarray, y: np.ndarray, fraction: float) -> float:
 
     Raises:
         ValidationError: if `x` has fewer than 16 samples or does not
-            strictly increase.
+            strictly increase, or `y` is not finite.
         NoCrossing: if the curve never drops below the level on one side.
     """
     x = np.asarray(x, dtype=float)
@@ -543,7 +570,7 @@ def flat_top_span(delays: np.ndarray, etas: np.ndarray, level: float) -> float:
 
     Raises:
         ValidationError: if `delays` has fewer than 16 samples or does not
-            strictly increase.
+            strictly increase, or `etas` is not finite.
         EmptySpan: if the maximum itself lies below `level`.
     """
     delays = np.asarray(delays, dtype=float)

@@ -92,6 +92,19 @@ class TestCmdSweep:
             " flat98 unavailable: need at least 16 samples to measure a span"
         )
 
+    def test_uncalibrated_delay_slice_is_labelled_at_the_pump_energy(self, tmp_path):
+        """When calibration fails, the delay slice is taken at `pump.energy`
+        and slices.csv says so; it read `delay_at_calibrated_energy`."""
+        cfg = ks.parse_config(json.dumps({"sweep": {"energies_nj": [8.0], "delays_ps": [0.0]}}))
+        ks.cmd_sweep(cfg, tmp_path)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["note"].startswith("calibration failed: sweep energy range is degenerate")
+        slices = read_csv(tmp_path / "slices.csv")
+        assert [row[:3] for row in slices[1:]] == [
+            ["energy_at_zero_delay", "0", "8"],
+            ["delay_at_pump_energy", "0", "8"],
+        ]
+
     def test_short_delay_axis_still_calibrates(self, tmp_path):
         """Five delays are too few for a width but not for calibration: the
         sweep reports `cmd_calibrate`'s energy and takes its delay slice

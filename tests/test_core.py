@@ -164,6 +164,15 @@ def test_envelope_validation():
         ks.PulseEnvelope(grid=g, center_wavelength=WL, samples=bad)
 
 
+@pytest.mark.parametrize("pulse_energy", [1e-9, 0.0])
+def test_pulse_that_underflows_on_the_grid_is_rejected(pulse_energy):
+    """A pulse centred 1 s off a 20 ps grid has a shape of zeros there: the
+    builder raises its one ValidationError, with no divide-by-zero warning
+    first (under ``filterwarnings = error`` the warning was raised instead)."""
+    with pytest.raises(ValidationError, match="envelope samples must be finite"):
+        ks.make_gaussian_pulse(ks.TimeGrid(1024, 20e-12), 1550e-9, 180e-15, pulse_energy, delay=1.0)
+
+
 def test_config_is_immutable_and_hashable(default_cfg):
     with pytest.raises(AttributeError):
         default_cfg.rng_seed = 1

@@ -846,16 +846,50 @@ def _batch_pumps(energies, delay=0.0):
     ]
 
 
-def test_window_holds_three_arrays_per_sample():
-    """A window group holds, per row and sample, its field, the contiguous
-    intensity and the complex rotation: 40 bytes."""
+def test_window_holds_only_its_field():
+    """A window group holds, per row and sample, only its field: 16 bytes
+    (40 when each group kept its own intensity and rotation buffers)."""
     cfg = ks.default_config()
     m, rows = 768, 3
     window = ks.propagation._Window(cfg.grid, m, cfg.fiber, cfg.fiber.length / 256)
     window.join(np.arange(rows), np.ones((rows, m), dtype=np.complex128))
     per_row = [v for v in vars(window).values() if isinstance(v, np.ndarray) and v.shape == (rows, m)]
-    assert sum(v.nbytes for v in per_row) == 40 * rows * m
-    assert window.intensity.flags.c_contiguous
+    assert sum(v.nbytes for v in per_row) == 16 * rows * m
+
+
+def test_groups_borrow_one_contiguous_intensity_buffer(monkeypatch):
+    """The rows on each window size run as one group, and every group's
+    intensity is a C-contiguous (rows, m) view of the front of one shared
+    buffer. A new buffer replaces it only when a larger rows × m group
+    comes, so the buffers in use only grow, none is taken up again, and
+    the last is the largest group's size. Here a wide pump grows to the
+    whole grid, and the 1 and 8 nJ pumps share a 768-sample group."""
+    seen = []
+    add_shifted = ks.propagation._add_shifted
+
+    def capturing(acc, values, *args):
+        seen.append((values.shape, values.flags.c_contiguous, values.base))
+        return add_shifted(acc, values, *args)
+
+    monkeypatch.setattr(ks.propagation, "_add_shifted", capturing)
+    cfg = ks.default_config()
+    pumps = _batch_pumps([1e-9, 8e-9]) + [
+        ks.make_gaussian_pulse(cfg.grid, cfg.pump.center_wavelength, 2e-12, 1e-9)
+    ]
+    ks.compute_xpm_kernels(pumps, cfg.fiber, 16, cfg.signal.center_wavelength)
+    assert all(contiguous for _, contiguous, _ in seen)
+    assert all(base.size >= r * m for (r, m), _, base in seen)
+    bases = [base for _, _, base in seen]
+    turns = [b for i, b in enumerate(bases) if i == 0 or b is not bases[i - 1]]
+    assert len({id(b) for b in turns}) == len(turns)
+    sizes = [b.size for b in turns]
+    assert sizes == sorted(set(sizes))
+    assert sizes[-1] == max(r * m for (r, m), _, _ in seen) == cfg.grid.n_samples
+    shared = {}
+    for shape, _, base in seen:
+        shared.setdefault(id(base), set()).add(shape)
+    assert (2, 768) in {shape for shape, _, _ in seen}
+    assert max(len(shapes) for shapes in shared.values()) >= 3
 
 
 def test_split_step_keeps_no_launch_copy(monkeypatch):

@@ -47,7 +47,10 @@ NUMBERS = [
     np.float32(0.1),
 ]
 # Every label a command writes.
-LABELS = ["exact", "monte_carlo", "switched", "unswitched", "energy_at_zero_delay", "delay_at_calibrated_energy"]
+LABELS = [
+    "exact", "monte_carlo", "switched", "unswitched", "energy_at_zero_delay",
+    "delay_at_calibrated_energy", "delay_at_pump_energy",
+]
 
 TABLES = {
     "header_only": (["a", "b"], []),
@@ -277,7 +280,7 @@ def test_command_json_artifacts_are_canonical(small_cfg, tmp_path):
 
 def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
     """Under tracemalloc, the default `cmd_fock`'s write of fock_probs.json
-    (54 records, 13,068 floats, 104,005 bytes) peaks at most 0.25 MB above
+    (54 records, 13,068 floats, 104,018 bytes) peaks at most 0.25 MB above
     the live set at its start. Encoding the document whole traces 1.12 MB."""
     peaks = {}
     write_json = runner._Run.write_json
@@ -293,7 +296,7 @@ def test_fock_json_write_holds_no_record_list(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner._Run, "write_json", traced)
     ks.cmd_fock(ks.default_config(), tmp_path)
-    assert (tmp_path / "fock_probs.json").stat().st_size == 104_005
+    assert (tmp_path / "fock_probs.json").stat().st_size == 104_018
     assert peaks["fock_probs.json"] <= 0.25e6
 
 

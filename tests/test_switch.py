@@ -350,6 +350,22 @@ class TestTemporalMetrics:
         with pytest.raises(ValidationError):
             ks.temporal_resolution(np.arange(8), np.arange(8.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_curve_that_is_not_finite_is_rejected(self, bad):
+        """One NaN sample was taken as the peak (`np.argmax` returns it):
+        `full_width` raised NoCrossing below nan and `flat_top_span`
+        returned nan."""
+        delays = np.linspace(-5e-12, 5e-12, 101)
+        etas = np.exp(-0.5 * (delays / 1e-12) ** 2)
+        etas[70] = bad
+        for measure in (
+            lambda: ks.full_width(delays, etas, 0.5),
+            lambda: ks.temporal_resolution(delays, etas),
+            lambda: ks.flat_top_span(delays, etas, 0.98),
+        ):
+            with pytest.raises(ValidationError, match="the curve must be finite"):
+                measure()
+
     def test_flat_top_span_rectangle(self):
         delays = np.linspace(-5e-12, 5e-12, 201)
         etas = np.where(np.abs(delays) <= 1.5e-12, 1.0, 0.2)
@@ -763,7 +779,9 @@ class TestLaunchFields:
     def test_cold_sweep_builds_no_pump_envelope(self, default_cfg, monkeypatch, cold_kernel_cache):
         """A cold default sweep builds no pump `PulseEnvelope`, so none on
         the grid per energy (28 when each pump was built on the whole
-        grid); only the signal's envelopes, at most two, are built."""
+        grid), and no signal envelope either: the signal's support is
+        propagated on the signal's window alone (two whole-grid signal
+        envelopes were built when it was propagated on the grid)."""
         built = []
         post_init = ks.PulseEnvelope.__post_init__
 
@@ -774,7 +792,8 @@ class TestLaunchFields:
         monkeypatch.setattr(ks.PulseEnvelope, "__post_init__", counting)
         ks.sweep_surface(default_cfg)
         assert [w for _, w in built if w == default_cfg.pump.center_wavelength] == []
-        assert sum(1 for grid, _ in built if grid == default_cfg.grid) <= 2
+        assert [w for _, w in built if w == default_cfg.signal.center_wavelength] == []
+        assert built == []
 
     @staticmethod
     def assert_same_as_whole_grid_pumps(cfg, energies):
@@ -903,17 +922,57 @@ def test_cold_sweep_kernels_read_their_fields_off_their_arrays(default_cfg, cold
     assert sorted(k.steps for k in cold_sweep_kernels) == [steps] * 31 + [2 * steps]
 
 
+def _signal_on(cfg, window):
+    """The propagated signal's intensity on `window` of the grid: the
+    whole-grid signal's samples there, propagated on the window alone."""
+    samples = ks.switch._make_signal(cfg).samples[window]
+    return np.abs(ks.propagation._signal_linear(samples, cfg.grid.dt, cfg.fiber)) ** 2
+
+
+def _whole_grid_signal(cfg):
+    signal = ks.switch._make_signal(cfg)
+    return np.abs(ks.propagation.propagate_signal_linear(signal, cfg.fiber).samples) ** 2
+
+
 def test_signal_support_holds_a_copy_of_its_weights(default_cfg):
+    """The default signal's support holds the propagated signal's intensity
+    on the signal's 2048-sample launch window, bit for bit, in a read-only
+    array of its own, which keeps no window array alive."""
+    first, weights = ks.switch._model(default_cfg).signal_support
+    assert weights.base is None and not weights.flags.writeable
+    shape, _ = ks.core._pulse_shape(default_cfg.grid, default_cfg.signal.fwhm_duration, 0.0, 1)
+    window = ks.propagation._launch_window(shape)
+    assert window == slice(7168, 9216)
+    start = first - window.start
+    on_window = _signal_on(default_cfg, window)
+    assert weights.tobytes() == on_window[start : start + weights.size].tobytes()
+
+
+def test_signal_support_matches_the_whole_grid_propagation(default_cfg):
     """The default signal's support starts at grid index 7353 and holds
-    1679 weights: the propagated signal's whole-grid intensity there, bit
-    for bit, in a read-only array of their own, which keeps no whole-grid
-    array alive."""
+    1679 weights, as when the signal was propagated on the whole grid, and
+    lies within 5e-13 of the peak weight of that propagation (1.75e-13
+    measured: the window's periodic ends against the grid's)."""
     first, weights = ks.switch._model(default_cfg).signal_support
     assert (first, weights.size) == (7353, 1679)
-    assert weights.base is None and not weights.flags.writeable
-    signal = ks.switch._make_signal(default_cfg)
-    whole = np.abs(ks.propagation.propagate_signal_linear(signal, default_cfg.fiber).samples) ** 2
-    assert weights.tobytes() == whole[first : first + weights.size].tobytes()
+    whole = _whole_grid_signal(default_cfg)[first : first + weights.size]
+    assert np.abs(weights - whole).max() <= 5e-13 * whole.max()
+
+
+def test_spreading_signal_grows_its_window():
+    """At -2500 ps²/km the signal spreads past its 2048-sample launch
+    window, whose output then holds 4 % of the weight in its outer 1/16
+    and lies 35 % of the peak off the whole-grid propagation. The end
+    guard grows the window until the outer 1/16 holds at most
+    ``WINDOW_MASS_BOUND``, and the support then lies within 1e-13 of the
+    whole-grid propagation's peak (1.8e-15 measured)."""
+    cfg = ks.parse_config(json.dumps({"fiber": {"beta2_signal_ps2_km": -2500.0}}))
+    first, weights = ks.switch._model(cfg).signal_support
+    assert weights.size > 2048
+    whole = _whole_grid_signal(cfg)
+    assert np.abs(weights - whole[first : first + weights.size]).max() <= 1e-13 * whole.max()
+    launch = _signal_on(cfg, slice(7168, 9216))
+    assert ks.propagation._edge_mass(launch) > ks.propagation.WINDOW_MASS_BOUND * launch.sum()
 
 
 def test_convergence_check_passes_at_defaults(default_cfg):
